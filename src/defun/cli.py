@@ -239,8 +239,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SourceError as e:
-        kind = getattr(e, "kind", None)
-        prefix = f"error: {kind}: " if kind else "error: "
+        prefix = f"error: {e.kind}: " if e.kind else "error: "
         print(f"{prefix}{e}", file=sys.stderr)
         return 1
     except RunError as e:

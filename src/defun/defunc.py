@@ -11,12 +11,11 @@ from .errors import Loc, TransformError
 from .specs import expand_post_meta, passthrough_lemma, subst_formula, translate_spec
 from .syntax import (
     Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, Eq, Expr, ExprStmt,
-    FConstr, FLet, FLogicApp, FVar, Formula, If, IntLit, LemmaDecl, LetDef,
-    LetIn, Lambda,
-    Match, NilLit, PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, Pattern,
-    Program, Seq, Spec, TArrow, TNamed, TTuple, TrueP, TupleE, Ty, TypeDecl,
-    UnitLit, Var, arrow_args, conj, free_vars, all_identifiers, int_list,
-    int_tree, INT, BOOL, UNIT,
+    FConstr, FLet, FLogicApp, FVar, Forall, Formula, If, IntLit, LemmaDecl,
+    LetDef, LetIn, Lambda, Match, NilLit, PCons, PConstr, PInt, PNil, PTuple,
+    PVar, PWild, Pattern, Program, Seq, Spec, TArrow, TNamed, TTuple, TrueP,
+    TupleE, Ty, TypeDecl, UnitLit, Var, all_identifiers, conj, free_vars,
+    int_list, int_tree, map_children, walk, walk_scoped, INT,
 )
 from .typecheck import Checker
 
@@ -175,72 +174,22 @@ class Defunctionalizer:
     # -- pass 2: which named functions are used as first-class values ------
 
     def scan_value_uses(self):
+        # a named function is used as a value unless it heads an
+        # application to all of its arguments; pre-order reaches every App
+        # of a spine before its head
         fns = self.fns
-
-        def head_and_args(e):
-            args = []
-            while isinstance(e, App):
-                args.append(e.arg)
-                e = e.fn
-            return e, list(reversed(args))
-
-        def go(e, shadowed: set):
-            if isinstance(e, App):
-                head, args = head_and_args(e)
-                if isinstance(head, Var) and head.name in fns and head.name not in shadowed:
-                    info = fns[head.name]
-                    if len(args) < info.arity:
-                        self.mark_value_use(head)
-                else:
-                    go(head, shadowed)
-                for a in args:
-                    go(a, shadowed)
-                return
-            if isinstance(e, Var):
-                if e.name in fns and e.name not in shadowed:
-                    self.mark_value_use(e)
-                return
-            if isinstance(e, (UnitLit, IntLit, BoolLit, NilLit, Absurd)):
-                return
-            if isinstance(e, ConstructorApp):
-                for a in e.args:
-                    go(a, shadowed)
-            elif isinstance(e, TupleE):
-                for a in e.items:
-                    go(a, shadowed)
-            elif isinstance(e, (BinOp,)):
-                go(e.left, shadowed)
-                go(e.right, shadowed)
-            elif isinstance(e, Cons):
-                go(e.head, shadowed)
-                go(e.tail, shadowed)
-            elif isinstance(e, Seq):
-                go(e.first, shadowed)
-                go(e.second, shadowed)
-            elif isinstance(e, LetIn):
-                d = e.defn
-                inner = shadowed | {n for n, _ in d.params}
-                go(d.body, inner | ({d.name} if d.is_rec else set()))
-                go(e.body, shadowed | {d.name})
-            elif isinstance(e, Match):
-                go(e.scrutinee, shadowed)
-                from .syntax import pattern_vars
-                for pat, body in e.arms:
-                    go(body, shadowed | {n for n, _ in pattern_vars(pat)})
-            elif isinstance(e, If):
-                go(e.cond, shadowed)
-                go(e.then, shadowed)
-                go(e.els, shadowed)
-            elif isinstance(e, Lambda):
-                go(e.body, shadowed | {n for n, _ in e.params})
-            else:
-                raise AssertionError(f"unhandled expr {e!r}")
-
+        applied: dict[int, int] = {}  # id(node) -> arguments applied to it
         for item in self.program.items:
-            if isinstance(item, LetDef):
-                go(item.body, set())
-            elif isinstance(item, ExprStmt):
-                go(item.expr, set())
+            if not isinstance(item, (LetDef, ExprStmt)):
+                continue
+            root = item.body if isinstance(item, LetDef) else item.expr
+            for e, shadowed in walk_scoped(root):
+                if type(e) is App:
+                    applied[id(e.fn)] = applied.get(id(e), 0) + 1
+                elif (type(e) is Var and e.name in fns
+                      and e.name not in shadowed
+                      and applied.get(id(e), 0) < fns[e.name].arity):
+                    self.mark_value_use(e)
 
     def mark_value_use(self, head: Var):
         info = self.fns[head.name]
@@ -287,49 +236,16 @@ class Defunctionalizer:
         self.fns[d.name].ctor = self.site_of[id(lam)].ctor_name
 
     def collect_in(self, e: Expr):
-        if isinstance(e, Lambda):
-            if e.spec and e.spec.requires:
-                # a lambda is always a first-class value, so a requires
-                # clause on one can never be bypassed
-                raise TransformError(
-                    "exempt-as-value",
-                    "a lambda with a precondition cannot be used as a "
-                    "first-class value", e.loc)
-            self.add_site(e)
-            self.collect_in(e.body)
-        elif isinstance(e, (UnitLit, Var, IntLit, BoolLit, NilLit, Absurd)):
-            pass
-        elif isinstance(e, ConstructorApp):
-            for a in e.args:
-                self.collect_in(a)
-        elif isinstance(e, TupleE):
-            for a in e.items:
-                self.collect_in(a)
-        elif isinstance(e, BinOp):
-            self.collect_in(e.left)
-            self.collect_in(e.right)
-        elif isinstance(e, Cons):
-            self.collect_in(e.head)
-            self.collect_in(e.tail)
-        elif isinstance(e, Seq):
-            self.collect_in(e.first)
-            self.collect_in(e.second)
-        elif isinstance(e, LetIn):
-            self.collect_in(e.defn.body)
-            self.collect_in(e.body)
-        elif isinstance(e, Match):
-            self.collect_in(e.scrutinee)
-            for _, body in e.arms:
-                self.collect_in(body)
-        elif isinstance(e, If):
-            self.collect_in(e.cond)
-            self.collect_in(e.then)
-            self.collect_in(e.els)
-        elif isinstance(e, App):
-            self.collect_in(e.fn)
-            self.collect_in(e.arg)
-        else:
-            raise AssertionError(f"unhandled expr {e!r}")
+        for lam in walk(e):
+            if type(lam) is Lambda:
+                if lam.spec and lam.spec.requires:
+                    # a lambda is always a first-class value, so a requires
+                    # clause on one can never be bypassed
+                    raise TransformError(
+                        "exempt-as-value",
+                        "a lambda with a precondition cannot be used as a "
+                        "first-class value", lam.loc)
+                self.add_site(lam)
 
     def add_site(self, lam: Lambda):
         assert len(lam.params) == 1, "lambdas must be curry-normalized"
@@ -407,43 +323,18 @@ class Defunctionalizer:
 
     def rewrite_formula_tys(self, f: Formula) -> Formula:
         """Rewrite arrow types in quantifier binders (and nothing else)."""
-        from .syntax import (And as FAnd, Eq as FEq, FArith as FA, FLet as FL,
-                             FMatch as FM, FTuple as FT, Forall as FF,
-                             Implies as FI, Le as FLe, Lt as FLt, Not as FN,
-                             Or as FOr, FConstr as FC, FLogicApp as FLA)
-
-        def go(f):
-            if isinstance(f, FF):
-                binders = [(n, self.rewrite_ty(t, f.loc)) for n, t in f.binders]
-                return FF(binders, go(f.body), loc=f.loc)
-            if isinstance(f, (FC, FLA)):
-                return type(f)(f.name, [go(a) for a in f.args], loc=f.loc)
-            if isinstance(f, FA):
-                return FA(f.op, go(f.left), go(f.right), loc=f.loc)
-            if isinstance(f, FT):
-                return FT([go(a) for a in f.items], loc=f.loc)
-            if isinstance(f, (FEq, FLt, FLe, FAnd, FOr, FI)):
-                return type(f)(go(f.left), go(f.right), loc=f.loc)
-            if isinstance(f, FN):
-                return FN(go(f.body), loc=f.loc)
-            if isinstance(f, FL):
-                return FL(f.name, go(f.value), go(f.body), loc=f.loc)
-            if isinstance(f, FM):
-                return FM(go(f.scrutinee), [(p, go(b)) for p, b in f.arms],
-                          loc=f.loc)
-            return f
-
-        return go(f)
+        if type(f) is Forall:
+            binders = [(n, self.rewrite_ty(t, f.loc)) for n, t in f.binders]
+            return Forall(binders, self.rewrite_formula_tys(f.body), loc=f.loc)
+        if isinstance(f, Formula):
+            return map_children(f, self.rewrite_formula_tys)
+        return f
 
     def rewrite_typedecl(self, decl: TypeDecl) -> TypeDecl:
         if decl.variants is not None:
             variants = [(c, [self.rewrite_ty(t, decl.loc) for t in tys])
                         for c, tys in decl.variants]
             return TypeDecl(decl.name, variants=variants, loc=decl.loc)
-        if decl.record is not None:
-            return TypeDecl(decl.name,
-                            record=[(n, self.rewrite_ty(t, decl.loc))
-                                    for n, t in decl.record], loc=decl.loc)
         return TypeDecl(decl.name, alias=self.rewrite_ty(decl.alias, decl.loc),
                         loc=decl.loc)
 
@@ -695,19 +586,11 @@ class Defunctionalizer:
         return go(e)
 
     def rewrite_pattern(self, p: Pattern) -> Pattern:
-        if isinstance(p, PVar):
+        if type(p) is PVar:
             return PVar(p.name,
                         self.rewrite_ty(p.ty) if p.ty is not None else None,
                         loc=p.loc)
-        if isinstance(p, PCons):
-            return PCons(self.rewrite_pattern(p.head),
-                         self.rewrite_pattern(p.tail), loc=p.loc)
-        if isinstance(p, PConstr):
-            return PConstr(p.name, [self.rewrite_pattern(q) for q in p.args],
-                           loc=p.loc)
-        if isinstance(p, PTuple):
-            return PTuple([self.rewrite_pattern(q) for q in p.items], loc=p.loc)
-        return p
+        return map_children(p, self.rewrite_pattern)
 
     # -- exhaustiveness ----------------------------------------------------
 
@@ -797,10 +680,8 @@ def assert_first_order(t: TargetProgram):
             raise AssertionError(f"arrow type {ty} survives in {what}")
 
     def check_expr(e, what):
-        if isinstance(e, Lambda):
+        if any(type(sub) is Lambda for sub in walk(e)):
             raise AssertionError(f"lambda survives in {what}")
-        for sub in subexprs(e):
-            check_expr(sub, what)
 
     for decl in t.kont_decls + t.source_types:
         for _, fields in decl.variants or []:
@@ -817,30 +698,6 @@ def assert_first_order(t: TargetProgram):
                 check_ty(ty, item.name)
             check_ty(item.ret, item.name)
             check_expr(item.body, item.name)
-
-
-def subexprs(e: Expr):
-    if isinstance(e, ConstructorApp):
-        return list(e.args)
-    if isinstance(e, TupleE):
-        return list(e.items)
-    if isinstance(e, BinOp):
-        return [e.left, e.right]
-    if isinstance(e, Cons):
-        return [e.head, e.tail]
-    if isinstance(e, Seq):
-        return [e.first, e.second]
-    if isinstance(e, LetIn):
-        return [e.defn.body, e.body]
-    if isinstance(e, Match):
-        return [e.scrutinee] + [b for _, b in e.arms]
-    if isinstance(e, If):
-        return [e.cond, e.then, e.els]
-    if isinstance(e, Lambda):
-        return [e.body]
-    if isinstance(e, App):
-        return [e.fn, e.arg]
-    return []
 
 
 def assert_apply_exhaustive(t: TargetProgram):
@@ -863,20 +720,11 @@ def assert_capture_correct(t: TargetProgram, program: Program):
         for s in fam.sites:
             site_ctors[s.ctor_name] = [n for n, _ in s.captured]
 
-    def walk(e):
-        if isinstance(e, ConstructorApp) and e.name in site_ctors:
-            want = site_ctors[e.name]
-            got = [a.name if isinstance(a, Var) else None for a in e.args]
-            if got != want:
-                raise AssertionError(
-                    f"constructor {e.name} applied to {got}, expected {want}")
-        for sub in subexprs(e):
-            walk(sub)
-
-    for d in t.apply_defs:
-        walk(d.body)
-    for item in t.items:
-        if isinstance(item, LetDef):
-            walk(item.body)
-        elif isinstance(item, ExprStmt):
-            walk(item.expr)
+    for root in t.apply_defs + t.items:
+        for e in walk(root):
+            if type(e) is ConstructorApp and e.name in site_ctors:
+                want = site_ctors[e.name]
+                got = [a.name if isinstance(a, Var) else None for a in e.args]
+                if got != want:
+                    raise AssertionError(
+                        f"constructor {e.name} applied to {got}, expected {want}")

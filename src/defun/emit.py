@@ -16,8 +16,8 @@ from .syntax import (
     Forall, Formula, If, Implies, IntLit, LemmaDecl, LetDef, LetIn, Lambda,
     LogicalDecl, Lt, Le, Match, NilLit, Not, Or, PCons, PConstr, PInt, PNil,
     PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow, TBool, TInt,
-    TNamed, TTuple, TUnit, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, BOOL,
-    INT, UNIT,
+    TNamed, TTuple, TUnit, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, walk,
+    BOOL, INT, UNIT,
 )
 
 # ---------------------------------------------------------------------------
@@ -49,133 +49,20 @@ class WhymlDoc:
 def _used_symbols(t: TargetProgram) -> set[str]:
     """Names of builtin types/logicals referenced anywhere in the target."""
     used: set[str] = set()
-
-    def ty(x):
-        if isinstance(x, TNamed):
-            used.add(x.name)
-            for a in x.args:
-                ty(a)
-        elif isinstance(x, TArrow):
-            ty(x.param)
-            ty(x.result)
-        elif isinstance(x, TTuple):
-            for a in x.items:
-                ty(a)
-
-    def pat(p):
-        if isinstance(p, (PNil, PCons)):
-            used.add("list")
-        if isinstance(p, PVar) and p.ty is not None:
-            ty(p.ty)
-        if isinstance(p, PCons):
-            pat(p.head)
-            pat(p.tail)
-        elif isinstance(p, PConstr):
-            if p.name in ("Nil", "Cons"):
+    for root in (t.source_types + t.kont_decls + t.post_defs + t.apply_defs
+                 + t.items + t.lemmas + t.prelude):
+        for n in walk(root):
+            cls = type(n)
+            if cls is TNamed or cls is FLogicApp:
+                used.add(n.name)
+            elif cls in (PNil, PCons, NilLit, Cons):
                 used.add("list")
-            if p.name in ("Empty", "Node"):
-                used.add("tree")
-            for q in p.args:
-                pat(q)
-        elif isinstance(p, PTuple):
-            for q in p.items:
-                pat(q)
-
-    def expr(e):
-        if isinstance(e, (NilLit, Cons)):
-            used.add("list")
-        if isinstance(e, ConstructorApp):
-            if e.name in ("Nil", "Cons"):
-                used.add("list")
-            if e.name in ("Empty", "Node"):
-                used.add("tree")
-        for sub in _subexprs(e):
-            expr(sub)
-        if isinstance(e, Match):
-            for p, _ in e.arms:
-                pat(p)
-        if isinstance(e, Lambda):
-            for _, t2 in e.params:
-                ty(t2)
-
-    def form(f):
-        if isinstance(f, FLogicApp):
-            used.add(f.name)
-        if isinstance(f, FConstr):
-            if f.name in ("Nil", "Cons"):
-                used.add("list")
-            if f.name in ("Empty", "Node"):
-                used.add("tree")
-        for sub in _subformulas(f):
-            form(sub)
-        if isinstance(f, Forall):
-            for _, t2 in f.binders:
-                ty(t2)
-        if isinstance(f, FMatch):
-            for p, _ in f.arms:
-                pat(p)
-
-    def letdef(d):
-        for _, t2 in d.params:
-            ty(t2)
-        if d.ret is not None:
-            ty(d.ret)
-        expr(d.body)
-        if d.spec is not None:
-            for f in d.spec.requires + d.spec.ensures:
-                form(f)
-
-    for decl in t.source_types + t.kont_decls:
-        for _, fields in decl.variants or []:
-            for x in fields:
-                ty(x)
-    for p in t.post_defs:
-        ty(p.arg_ty)
-        ty(p.result_ty)
-        for pt, f in p.arms:
-            pat(pt)
-            form(f)
-    for d in t.apply_defs:
-        letdef(d)
-    for item in t.items:
-        if isinstance(item, LetDef):
-            letdef(item)
-        elif isinstance(item, ExprStmt):
-            expr(item.expr)
-    for lem in t.lemmas:
-        form(lem.formula)
-    for decl in t.prelude:
-        for _, t2 in decl.params:
-            ty(t2)
-        ty(decl.ret)
-        if decl.body is not None:
-            expr(decl.body)
+            elif cls in (PConstr, ConstructorApp, FConstr):
+                if n.name in ("Nil", "Cons"):
+                    used.add("list")
+                elif n.name in ("Empty", "Node"):
+                    used.add("tree")
     return used
-
-
-def _subexprs(e):
-    from .defunc import subexprs
-    return subexprs(e)
-
-
-def _subformulas(f):
-    if isinstance(f, (FConstr, FLogicApp)):
-        return list(f.args)
-    if isinstance(f, (FArith, Eq, Lt, Le, And, Or, Implies)):
-        return [f.left, f.right]
-    if isinstance(f, FTuple):
-        return list(f.items)
-    if isinstance(f, Not):
-        return [f.body]
-    if isinstance(f, Forall):
-        return [f.body]
-    if isinstance(f, PostMeta):
-        return [f.fn] + list(f.args) + [f.result]
-    if isinstance(f, FLet):
-        return [f.value, f.body]
-    if isinstance(f, FMatch):
-        return [f.scrutinee] + [b for _, b in f.arms]
-    return []
 
 
 def build_doc(t: TargetProgram, module_name: str = "Defun") -> WhymlDoc:
@@ -1198,9 +1085,6 @@ def emit_surface(p: Program) -> str:
                         s_ty(t, atom=True) for t in tys))
                     for c, tys in item.variants)
                 out.append(f"type {item.name} = {variants}")
-            elif item.record is not None:
-                fields = "; ".join(f"{n} : {s_ty(t)}" for n, t in item.record)
-                out.append(f"type {item.name} = {{ {fields} }}")
             else:
                 out.append(f"type {item.name} = {s_ty(item.alias)}")
         elif isinstance(item, LetDef):

@@ -15,11 +15,14 @@ class Loc:
 
 
 class SourceError(Exception):
-    """Base for all errors that point back into the source text."""
+    """Base for all errors that point back into the source text; `kind`,
+    when set, is a stable diagnostic tag."""
 
-    def __init__(self, message: str, loc: Loc | None = None):
+    def __init__(self, message: str, loc: Loc | None = None,
+                 kind: str | None = None):
         self.message = message
         self.loc = loc or Loc()
+        self.kind = kind
         super().__init__(f"{self.loc}: {message}")
 
 
@@ -28,26 +31,24 @@ class LexError(SourceError):
 
 
 class ParseError(SourceError):
-    def __init__(self, message, loc=None, expected=None, found=None):
-        super().__init__(message, loc)
+    def __init__(self, message, loc=None, expected=None, found=None, kind=None):
+        super().__init__(message, loc, kind)
         self.expected = expected or set()
         self.found = found
 
 
 class TypeError_(SourceError):
-    """Type checking failure; `kind` is a stable diagnostic tag."""
+    """Type checking failure."""
 
     def __init__(self, kind: str, message: str, loc=None):
-        super().__init__(message, loc)
-        self.kind = kind
+        super().__init__(message, loc, kind)
 
 
 class TransformError(SourceError):
     """Defunctionalization failure (no-family, exempt-as-value, ...)."""
 
     def __init__(self, kind: str, message: str, loc=None):
-        super().__init__(message, loc)
-        self.kind = kind
+        super().__init__(message, loc, kind)
 
 
 class VCError(SourceError):

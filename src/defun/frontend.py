@@ -17,7 +17,7 @@ from .syntax import (
     LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Lt, Le, Match, NilLit, Not,
     Or, And, PConstr, PCons, PInt, PNil, PTuple, PVar, PWild, PostMeta,
     Program, Seq, Spec, TArrow, TNamed, TTuple, TrueP, TupleE, TypeDecl,
-    UnitLit, Var, BOOL, INT, UNIT,
+    UnitLit, Var, children, normalize_program, BOOL, INT, UNIT,
 )
 
 KEYWORDS = {
@@ -277,16 +277,8 @@ class Parser:
         name = self.expect("ident").text
         self.expect("op", "=")
         if self.at("punct", "{"):
-            self.next()
-            fields = []
-            while not self.at("punct", "}"):
-                fname = self.expect("ident").text
-                self.expect("op", ":")
-                fields.append((fname, self.parse_ty()))
-                if self.at("op", ";"):
-                    self.next()
-            self.expect("punct", "}")
-            return TypeDecl(name, record=fields, loc=loc)
+            raise ParseError("record types are not supported",
+                             self.peek().loc, kind="unsupported")
         if self.at("punct", "|") or self.at("uident"):
             variants = []
             if self.at("punct", "|"):
@@ -475,19 +467,17 @@ class Parser:
         t = self.peek()
         if t.kind == "uident":
             self.next()
-            args, paren = [], False
+            args = []
             if self._at_atom():
+                # a parenthesized tuple supplies the constructor's arguments
                 arg = self.parse_atom()
-                if isinstance(arg, TupleE) and arg.loc == "paren":
-                    args = arg.items
-                else:
-                    args = [arg]
+                args = arg.items if isinstance(arg, TupleE) else [arg]
             e = ConstructorApp(t.text, args, loc=t.loc)
         else:
             e = self.parse_atom()
         while self._at_atom():
             arg = self.parse_atom()
-            e = App(e, arg, loc=arg.loc if not isinstance(arg.loc, str) else t.loc)
+            e = App(e, arg, loc=arg.loc)
         return e
 
     def parse_atom(self):
@@ -530,9 +520,7 @@ class Parser:
                     self.next()
                     items.append(self.parse_expr_noseq())
                 self.expect("punct", ")")
-                tup = TupleE(items)
-                tup.loc = "paren"  # lets constructors splat tuple arguments
-                return tup
+                return TupleE(items, loc=t.loc)
             self.expect("punct", ")")
             return e
         if t.kind == "op" and t.text == "-" and self.at("int", k=1):
@@ -570,10 +558,7 @@ class Parser:
             args = []
             if self._pattern_atom_start():
                 arg = self.parse_pattern_atom()
-                if isinstance(arg, PTuple) and arg.loc == "paren":
-                    args = arg.items
-                else:
-                    args = [arg]
+                args = arg.items if isinstance(arg, PTuple) else [arg]
             return PConstr(t.text, args, loc=t.loc)
         if t.kind == "punct" and t.text == "[":
             self.next()
@@ -605,9 +590,7 @@ class Parser:
                                 "type ascription only allowed on variables", t.loc)
                     items.append(q)
                 self.expect("punct", ")")
-                tup = PTuple(items)
-                tup.loc = "paren"
-                return tup
+                return PTuple(items, loc=t.loc)
             self.expect("punct", ")")
             return p
         self.fail("expected a pattern")
@@ -801,7 +784,7 @@ class Parser:
             args = []
             while self._formula_atom_start():
                 arg = self.parse_fatom()
-                if isinstance(arg, FTuple) and arg.loc == "paren" and not args:
+                if isinstance(arg, FTuple) and not args:
                     args = arg.items
                     break
                 args.append(arg)
@@ -838,17 +821,47 @@ class Parser:
                     self.next()
                     items.append(self.parse_formula())
                 self.expect("punct", ")")
-                tup = FTuple(items)
-                tup.loc = "paren"
-                return tup
+                return FTuple(items, loc=t.loc)
             self.expect("punct", ")")
             return f
         self.fail("expected a formula")
 
 
+# Deepest nesting of AST nodes a program may have.  The passes after parsing
+# recurse on the tree.  VC generation takes the most Python stack: about 12
+# frames per nested `if` or `let ... in`, so at the default recursion limit
+# of 1000 it overflows at 85 levels (the other passes reach 250).  The limit
+# leaves a quarter of the stack to the caller.  The deepest input in the
+# corpus and benchmark nests 41 levels.  VC generation's stack also grows
+# with the width of a definition, so it has a guard of its own.
+MAX_DEPTH = 64
+
+
+def check_depth(program: Program):
+    """Reject a program nested deeper than MAX_DEPTH at the leftmost node
+    that is too deep."""
+    level, loc = [program], None
+    for _ in range(MAX_DEPTH + 1):
+        level = [c for node in level for c in children(node)]
+        if not level:
+            return
+        loc = next((n.loc for n in level if getattr(n, "loc", None)), loc)
+    raise _too_deep(loc)
+
+
+def _too_deep(loc) -> ParseError:
+    return ParseError(f"program nested deeper than {MAX_DEPTH} levels", loc,
+                      kind="nesting-too-deep")
+
+
 def parse_program(source: str) -> Program:
-    from .syntax import normalize_program
-    return normalize_program(Parser(tokenize(source)).parse_program())
+    parser = Parser(tokenize(source))
+    try:
+        program = parser.parse_program()
+    except RecursionError:
+        raise _too_deep(parser.peek().loc) from None
+    check_depth(program)
+    return normalize_program(program)
 
 
 def parse_formula(source: str):

@@ -10,91 +10,42 @@ from __future__ import annotations
 
 from .errors import TransformError
 from .syntax import (
-    And, Or, Eq, FArith, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple,
-    FVar, Forall, Formula, Implies, LemmaDecl, LetDef, Lt, Le, Not, PostMeta,
-    Spec, TArrow, TrueP,
+    Eq, FLet, FLogicApp, FTuple, FVar, Forall, Formula, Implies, LemmaDecl,
+    LetDef, PostMeta, Spec, TArrow, map_children, walk,
 )
 
 
 def formula_names(f: Formula) -> set[str]:
     """All variable names occurring in a formula, free or bound."""
     out: set[str] = set()
-
-    def go(f):
-        if isinstance(f, FVar):
-            out.add(f.name)
-        elif isinstance(f, (FInt, FBool, TrueP)):
-            pass
-        elif isinstance(f, (FConstr, FLogicApp)):
-            for a in f.args:
-                go(a)
-        elif isinstance(f, (FArith, Eq, Lt, Le, And, Or, Implies)):
-            go(f.left)
-            go(f.right)
-        elif isinstance(f, FTuple):
-            for a in f.items:
-                go(a)
-        elif isinstance(f, Not):
-            go(f.body)
-        elif isinstance(f, Forall):
-            out.update(n for n, _ in f.binders)
-            go(f.body)
-        elif isinstance(f, PostMeta):
-            go(f.fn)
-            for a in f.args:
-                go(a)
-            go(f.result)
-        elif isinstance(f, FLet):
-            out.add(f.name)
-            go(f.value)
-            go(f.body)
-        elif isinstance(f, FMatch):
-            go(f.scrutinee)
-            for _, b in f.arms:
-                go(b)
-        else:
-            raise AssertionError(f"unhandled formula {f!r}")
-
-    go(f)
+    for g in walk(f):
+        if type(g) is FVar or type(g) is FLet:
+            out.add(g.name)
+        elif type(g) is Forall:
+            out.update(n for n, _ in g.binders)
     return out
 
 
 def subst_formula(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Substitute terms for free variables; binders shadow as expected."""
-    def go(f, mapping):
-        if isinstance(f, FVar):
-            return mapping.get(f.name, f)
-        if isinstance(f, (FInt, FBool, TrueP)):
+    def under(mapping):
+        def go(f):
+            if type(f) is FVar:
+                return mapping.get(f.name, f)
+            if type(f) is Forall:
+                bound = {n for n, _ in f.binders}
+                inner = {k: v for k, v in mapping.items() if k not in bound}
+                return Forall(list(f.binders), under(inner)(f.body), loc=f.loc)
+            if type(f) is FLet:
+                inner = {k: v for k, v in mapping.items() if k != f.name}
+                return FLet(f.name, go(f.value), under(inner)(f.body),
+                            loc=f.loc)
+            if isinstance(f, Formula):
+                return map_children(f, go)
             return f
-        if isinstance(f, FConstr):
-            return FConstr(f.name, [go(a, mapping) for a in f.args], ty=f.ty, loc=f.loc)
-        if isinstance(f, FLogicApp):
-            return FLogicApp(f.name, [go(a, mapping) for a in f.args], ty=f.ty, loc=f.loc)
-        if isinstance(f, FArith):
-            return FArith(f.op, go(f.left, mapping), go(f.right, mapping), loc=f.loc)
-        if isinstance(f, FTuple):
-            return FTuple([go(a, mapping) for a in f.items], loc=f.loc)
-        if isinstance(f, (Eq, Lt, Le, And, Or, Implies)):
-            return type(f)(go(f.left, mapping), go(f.right, mapping), loc=f.loc)
-        if isinstance(f, Not):
-            return Not(go(f.body, mapping), loc=f.loc)
-        if isinstance(f, Forall):
-            inner = {k: v for k, v in mapping.items()
-                     if k not in {n for n, _ in f.binders}}
-            return Forall(list(f.binders), go(f.body, inner), loc=f.loc)
-        if isinstance(f, PostMeta):
-            return PostMeta(go(f.fn, mapping), f.fn_ty,
-                            [go(a, mapping) for a in f.args],
-                            go(f.result, mapping), loc=f.loc)
-        if isinstance(f, FLet):
-            inner = {k: v for k, v in mapping.items() if k != f.name}
-            return FLet(f.name, go(f.value, mapping), go(f.body, inner), loc=f.loc)
-        if isinstance(f, FMatch):
-            return FMatch(go(f.scrutinee, mapping),
-                          [(p, go(b, mapping)) for p, b in f.arms], loc=f.loc)
-        raise AssertionError(f"unhandled formula {f!r}")
+        return go
 
-    return go(f, dict(mapping))
+    return under(dict(mapping))(f)
 
 
 class FreshNames:
@@ -138,31 +89,12 @@ def expand_post_meta(f: Formula, resolver) -> Formula:
         return Forall([(v, inner_fam.kont_ty)], Implies(step, rest), loc=loc)
 
     def go(f):
-        if isinstance(f, PostMeta):
+        if type(f) is PostMeta:
             return expand_pm(go(f.fn), f.fn_ty, [go(a) for a in f.args],
                              go(f.result), f.loc)
-        if isinstance(f, (FVar, FInt, FBool, TrueP)):
-            return f
-        if isinstance(f, FConstr):
-            return FConstr(f.name, [go(a) for a in f.args], ty=f.ty, loc=f.loc)
-        if isinstance(f, FLogicApp):
-            return FLogicApp(f.name, [go(a) for a in f.args], ty=f.ty, loc=f.loc)
-        if isinstance(f, FArith):
-            return FArith(f.op, go(f.left), go(f.right), loc=f.loc)
-        if isinstance(f, FTuple):
-            return FTuple([go(a) for a in f.items], loc=f.loc)
-        if isinstance(f, (Eq, Lt, Le, And, Or, Implies)):
-            return type(f)(go(f.left), go(f.right), loc=f.loc)
-        if isinstance(f, Not):
-            return Not(go(f.body), loc=f.loc)
-        if isinstance(f, Forall):
-            return Forall(list(f.binders), go(f.body), loc=f.loc)
-        if isinstance(f, FLet):
-            return FLet(f.name, go(f.value), go(f.body), loc=f.loc)
-        if isinstance(f, FMatch):
-            return FMatch(go(f.scrutinee), [(p, go(b)) for p, b in f.arms],
-                          loc=f.loc)
-        raise AssertionError(f"unhandled formula {f!r}")
+        if isinstance(f, Formula):
+            return map_children(f, go)
+        return f
 
     return go(f)
 

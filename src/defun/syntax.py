@@ -7,7 +7,7 @@ freshly parsed trees against transformed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 from .errors import Loc
@@ -102,13 +102,7 @@ def arrow_args(ty: Ty) -> tuple[list[Ty], Ty]:
 
 
 def contains_arrow(ty: Ty) -> bool:
-    if isinstance(ty, TArrow):
-        return True
-    if isinstance(ty, TNamed):
-        return any(contains_arrow(a) for a in ty.args)
-    if isinstance(ty, TTuple):
-        return any(contains_arrow(t) for t in ty.items)
-    return False
+    return any(type(t) is TArrow for t in walk(ty))
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +161,7 @@ class PTuple(Pattern):
 
 
 def pattern_vars(p: Pattern) -> list[tuple[str, Optional[Ty]]]:
-    out = []
-
-    def go(p):
-        if isinstance(p, PVar):
-            out.append((p.name, p.ty))
-        elif isinstance(p, PCons):
-            go(p.head)
-            go(p.tail)
-        elif isinstance(p, (PConstr, PTuple)):
-            for q in p.args if isinstance(p, PConstr) else p.items:
-                go(q)
-
-    go(p)
-    return out
+    return [(q.name, q.ty) for q in walk(p) if type(q) is PVar]
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +505,6 @@ class App(Expr):
 class TypeDecl:
     name: str
     variants: Optional[list] = None  # (ctor, [field Ty])
-    record: Optional[list] = None  # (field, Ty)
     alias: Optional[Ty] = None
     loc: Optional[Loc] = _meta()
 
@@ -568,6 +548,144 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+#
+# The structure of a node is the set of its dataclass fields that take part
+# in equality; `ty`, `loc` and `Lambda.chain` are metadata.  List and tuple
+# fields such as `params`, `arms` and `binders` are flattened, and strings,
+# numbers, booleans and None are leaves.
+
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
+class _Structure(dict):
+    """Node class -> names of its structural fields, computed once."""
+
+    def __missing__(self, cls):
+        names = self[cls] = tuple(f.name for f in fields(cls) if f.compare)
+        return names
+
+
+_STRUCTURE = _Structure()
+
+
+def children(node) -> list:
+    """The nodes directly below `node`, left to right."""
+    out = []
+    for name in _STRUCTURE[type(node)]:
+        v = getattr(node, name)
+        cls = type(v)
+        if cls is list or cls is tuple:
+            _flatten(v, out)
+        elif cls not in _LEAVES:
+            out.append(v)
+    return out
+
+
+def _flatten(items, out):
+    for v in items:
+        cls = type(v)
+        if cls is list or cls is tuple:
+            _flatten(v, out)
+        elif cls not in _LEAVES:
+            out.append(v)
+
+
+def walk(root):
+    """Every node under `root`, itself included, in pre-order and left to
+    right.  Iterative, so the depth of the tree is not limited by the
+    Python stack."""
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v = pop()
+        cls = type(v)
+        if cls is list or cls is tuple:
+            stack.extend(reversed(v))
+        elif cls not in _LEAVES:
+            yield v
+            for name in reversed(_STRUCTURE[cls]):
+                x = getattr(v, name)
+                if type(x) not in _LEAVES:
+                    push(x)
+
+
+def map_children(node, f):
+    """`node` with each child `c` replaced by `f(c)`: a shallow copy that
+    keeps the metadata, or `node` itself when every `f(c)` is `c`."""
+    changes = {}
+    for name in _STRUCTURE[type(node)]:
+        v = getattr(node, name)
+        cls = type(v)
+        if cls not in _LEAVES:
+            w = _map_value(v, f) if cls is list or cls is tuple else f(v)
+            if w is not v:
+                changes[name] = w
+    return replace(node, **changes) if changes else node
+
+
+def _map_value(v, f):
+    """`v` with `f` applied to its nodes; lists and tuples are rebuilt only
+    when one of their items changes."""
+    cls = type(v)
+    if cls is list or cls is tuple:
+        items = [_map_value(x, f) for x in v]
+        if all(a is b for a, b in zip(items, v)):
+            return v
+        return items if cls is list else tuple(items)
+    if cls in _LEAVES:
+        return v
+    return f(v)
+
+
+def binds(node) -> list[tuple[object, tuple[str, ...]]]:
+    """Each child of `node` with the variable names that `node` binds in it."""
+    cls = type(node)
+    if cls is LetIn:
+        d = node.defn
+        return [(d, (d.name,) if d.is_rec else ()), (node.body, (d.name,))]
+    if cls is FLet:
+        return [(node.value, ()), (node.body, (node.name,))]
+    if cls is Match or cls is FMatch:
+        out = [(node.scrutinee, ())]
+        for pat, body in node.arms:
+            out += [(pat, ()), (body, tuple(n for n, _ in pattern_vars(pat)))]
+        return out
+    names = ()
+    if cls is LetDef or cls is Lambda or cls is LogicalDecl:
+        names = tuple(n for n, _ in node.params)
+    elif cls is Forall:
+        names = tuple(n for n, _ in node.binders)
+    return [(c, names) for c in children(node)]
+
+
+_BINDERS = frozenset({LetIn, FLet, Match, FMatch, LetDef, Lambda,
+                      LogicalDecl, Forall})
+
+
+def walk_scoped(root):
+    """`walk`, yielding each node with the names bound around it below
+    `root`."""
+    stack = [(root, frozenset())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, bound = pop()
+        cls = type(v)
+        if cls is list or cls is tuple:
+            stack.extend([(x, bound) for x in reversed(v)])
+        elif cls in _BINDERS:
+            yield v, bound
+            for c, names in reversed(binds(v)):
+                push((c, bound.union(names) if names else bound))
+        elif cls not in _LEAVES:
+            yield v, bound
+            for name in reversed(_STRUCTURE[cls]):
+                x = getattr(v, name)
+                if type(x) not in _LEAVES:
+                    push((x, bound))
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 
 BINOP_RESULT = {
@@ -589,52 +707,9 @@ def free_vars(e: Expr) -> list[tuple[str, Ty]]:
     """Free variables of a typed expression, each with its resolved type,
     ordered by first free occurrence."""
     out: dict[str, Ty] = {}
-
-    def go(e, bound: frozenset):
-        if isinstance(e, Var):
-            if e.name not in bound and e.name not in out:
-                out[e.name] = e.ty
-        elif isinstance(e, (UnitLit, IntLit, BoolLit, NilLit, Absurd)):
-            pass
-        elif isinstance(e, ConstructorApp):
-            for a in e.args:
-                go(a, bound)
-        elif isinstance(e, TupleE):
-            for a in e.items:
-                go(a, bound)
-        elif isinstance(e, BinOp):
-            go(e.left, bound)
-            go(e.right, bound)
-        elif isinstance(e, Cons):
-            go(e.head, bound)
-            go(e.tail, bound)
-        elif isinstance(e, Seq):
-            go(e.first, bound)
-            go(e.second, bound)
-        elif isinstance(e, LetIn):
-            d = e.defn
-            inner = bound | {n for n, _ in d.params}
-            if d.is_rec:
-                inner = inner | {d.name}
-            go(d.body, inner)
-            go(e.body, bound | {d.name})
-        elif isinstance(e, Match):
-            go(e.scrutinee, bound)
-            for pat, body in e.arms:
-                go(body, bound | {n for n, _ in pattern_vars(pat)})
-        elif isinstance(e, If):
-            go(e.cond, bound)
-            go(e.then, bound)
-            go(e.els, bound)
-        elif isinstance(e, Lambda):
-            go(e.body, bound | {n for n, _ in e.params})
-        elif isinstance(e, App):
-            go(e.fn, bound)
-            go(e.arg, bound)
-        else:
-            raise AssertionError(f"unhandled expr {e!r}")
-
-    go(e, frozenset())
+    for node, bound in walk_scoped(e):
+        if type(node) is Var and node.name not in bound:
+            out.setdefault(node.name, node.ty)
     return list(out.items())
 
 
@@ -648,6 +723,8 @@ def normalize_curry(e: Expr) -> Expr:
     The outermost lambda keeps the first parameter; the attached spec stays
     on the innermost one.  Inner lambdas remember the earlier parameters of
     their chain, which later fixes the capture order of their sites.
+    A top-level item may be passed as well: definitions and expression
+    statements are normalized, other items come back unchanged.
     """
 
     def split(lam: Lambda) -> Lambda:
@@ -668,203 +745,32 @@ def normalize_curry(e: Expr) -> Expr:
                       chain=list(lam.chain), ty=lam.ty, loc=lam.loc)
 
     def go(e):
-        if isinstance(e, Lambda):
+        if type(e) is Lambda:
             return split(e)
-        if isinstance(e, (UnitLit, Var, IntLit, BoolLit, NilLit, Absurd)):
-            return e
-        if isinstance(e, ConstructorApp):
-            return ConstructorApp(e.name, [go(a) for a in e.args], ty=e.ty, loc=e.loc)
-        if isinstance(e, TupleE):
-            return TupleE([go(a) for a in e.items], ty=e.ty, loc=e.loc)
-        if isinstance(e, BinOp):
-            return BinOp(e.op, go(e.left), go(e.right), ty=e.ty, loc=e.loc)
-        if isinstance(e, Cons):
-            return Cons(go(e.head), go(e.tail), ty=e.ty, loc=e.loc)
-        if isinstance(e, Seq):
-            return Seq(go(e.first), go(e.second), ty=e.ty, loc=e.loc)
-        if isinstance(e, LetIn):
-            d = e.defn
-            nd = LetDef(d.is_rec, d.name, list(d.params), d.ret, go(d.body),
-                        spec=d.spec, loc=d.loc)
-            return LetIn(nd, go(e.body), ty=e.ty, loc=e.loc)
-        if isinstance(e, Match):
-            return Match(go(e.scrutinee), [(p, go(b)) for p, b in e.arms],
-                         absurd=e.absurd, ty=e.ty, loc=e.loc)
-        if isinstance(e, If):
-            return If(go(e.cond), go(e.then), go(e.els), ty=e.ty, loc=e.loc)
-        if isinstance(e, App):
-            return App(go(e.fn), go(e.arg), ty=e.ty, loc=e.loc)
-        raise AssertionError(f"unhandled expr {e!r}")
+        if isinstance(e, (Expr, LetDef, ExprStmt)):
+            return map_children(e, go)
+        return e
 
     return go(e)
 
 
 def normalize_program(p: Program) -> Program:
-    items = []
-    for it in p.items:
-        if isinstance(it, LetDef):
-            items.append(LetDef(it.is_rec, it.name, list(it.params), it.ret,
-                                normalize_curry(it.body), spec=it.spec, loc=it.loc))
-        elif isinstance(it, ExprStmt):
-            items.append(ExprStmt(normalize_curry(it.expr), loc=it.loc))
-        else:
-            items.append(it)
-    return Program(prelude=list(p.prelude), items=items)
+    return Program(prelude=list(p.prelude),
+                   items=[normalize_curry(it) for it in p.items])
 
 
 def all_identifiers(p: Program) -> set[str]:
     """Every identifier occurring anywhere in the program; used to keep
     generated names collision-free."""
     names: set[str] = set()
-
-    def ty_names(t):
-        if isinstance(t, TNamed):
-            names.add(t.name)
-            for a in t.args:
-                ty_names(a)
-        elif isinstance(t, TArrow):
-            ty_names(t.param)
-            ty_names(t.result)
-        elif isinstance(t, TTuple):
-            for a in t.items:
-                ty_names(a)
-
-    def pat(p):
-        if isinstance(p, PVar):
-            names.add(p.name)
-        elif isinstance(p, PCons):
-            pat(p.head)
-            pat(p.tail)
-        elif isinstance(p, PConstr):
-            names.add(p.name)
-            for q in p.args:
-                pat(q)
-        elif isinstance(p, PTuple):
-            for q in p.items:
-                pat(q)
-
-    def form(f):
-        if isinstance(f, FVar):
-            names.add(f.name)
-        elif isinstance(f, (FConstr, FLogicApp)):
-            names.add(f.name)
-            for a in f.args:
-                form(a)
-        elif isinstance(f, (FArith, Eq, Lt, Le, And, Or, Implies)):
-            form(f.left)
-            form(f.right)
-        elif isinstance(f, FTuple):
-            for a in f.items:
-                form(a)
-        elif isinstance(f, Not):
-            form(f.body)
-        elif isinstance(f, Forall):
-            for n, t in f.binders:
-                names.add(n)
-                if t is not None:
-                    ty_names(t)
-            form(f.body)
-        elif isinstance(f, PostMeta):
-            form(f.fn)
-            ty_names(f.fn_ty)
-            for a in f.args:
-                form(a)
-            form(f.result)
-        elif isinstance(f, FLet):
-            names.add(f.name)
-            form(f.value)
-            form(f.body)
-        elif isinstance(f, FMatch):
-            form(f.scrutinee)
-            for p_, b in f.arms:
-                pat(p_)
-                form(b)
-
-    def spec(s):
-        if s is None:
-            return
-        names.update(s.result_names)
-        names.update(s.arg_names)
-        for f in s.requires + s.ensures:
-            form(f)
-
-    def expr(e):
-        if isinstance(e, Var):
-            names.add(e.name)
-        elif isinstance(e, ConstructorApp):
-            names.add(e.name)
-            for a in e.args:
-                expr(a)
-        elif isinstance(e, TupleE):
-            for a in e.items:
-                expr(a)
-        elif isinstance(e, BinOp):
-            expr(e.left)
-            expr(e.right)
-        elif isinstance(e, Cons):
-            expr(e.head)
-            expr(e.tail)
-        elif isinstance(e, Seq):
-            expr(e.first)
-            expr(e.second)
-        elif isinstance(e, LetIn):
-            letdef(e.defn)
-            expr(e.body)
-        elif isinstance(e, Match):
-            expr(e.scrutinee)
-            for p_, b in e.arms:
-                pat(p_)
-                expr(b)
-        elif isinstance(e, If):
-            expr(e.cond)
-            expr(e.then)
-            expr(e.els)
-        elif isinstance(e, Lambda):
-            for n, t in e.params:
-                names.add(n)
-                ty_names(t)
-            ty_names(e.ret)
-            spec(e.spec)
-            expr(e.body)
-        elif isinstance(e, App):
-            expr(e.fn)
-            expr(e.arg)
-
-    def letdef(d):
-        names.add(d.name)
-        for n, t in d.params:
-            names.add(n)
-            ty_names(t)
-        if d.ret is not None:
-            ty_names(d.ret)
-        spec(d.spec)
-        expr(d.body)
-
-    for decl in p.prelude:
-        names.add(decl.name)
-        for n, t in decl.params:
-            names.add(n)
-            ty_names(t)
-        ty_names(decl.ret)
-        if decl.body is not None:
-            expr(decl.body)
-    for it in p.items:
-        if isinstance(it, TypeDecl):
-            names.add(it.name)
-            for c, tys in it.variants or []:
-                names.add(c)
-                for t in tys:
-                    ty_names(t)
-            for fname, t in it.record or []:
-                names.add(fname)
-                ty_names(t)
-            if it.alias is not None:
-                ty_names(it.alias)
-        elif isinstance(it, LetDef):
-            letdef(it)
-        elif isinstance(it, LemmaDecl):
-            names.add(it.name)
-            form(it.formula)
-        elif isinstance(it, ExprStmt):
-            expr(it.expr)
-    return names
+    stack = [p]
+    while stack:
+        v = stack.pop()
+        cls = type(v)
+        if cls is str:
+            names.add(v)
+        elif cls is list or cls is tuple:
+            stack.extend(v)
+        elif cls not in _LEAVES:
+            stack.extend([getattr(v, n) for n in _STRUCTURE[cls]])
+    return names.difference(BINOP_RESULT)

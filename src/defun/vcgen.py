@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 from dataclasses import dataclass, field
 
 from .defunc import PredDef, TargetProgram
@@ -327,11 +328,16 @@ class VCGen:
             self.vcs.append(VC(f"vc_{lem.name}_0", [], list(self.lemma_hyps),
                                lem.formula, (lem.name, lem.loc, "lemma")))
             self.lemma_hyps.append(lem.formula)
-        for d in self.t.apply_defs:
-            self.vcs_for_def(d)
-        for item in self.t.items:
-            if isinstance(item, LetDef) and item.params:
-                self.vcs_for_def(item)
+        defs = self.t.apply_defs + [
+            it for it in self.t.items if isinstance(it, LetDef) and it.params]
+        for d in defs:
+            try:
+                self.vcs_for_def(d)
+            except RecursionError:
+                # wp nests a continuation call per pending subterm, so its
+                # stack grows with the size of a definition, not its depth
+                raise VCError(f"definition {d.name!r} is too large for VC "
+                              "generation", d.loc, "nesting-too-deep") from None
         return self.vcs
 
 
@@ -739,20 +745,28 @@ def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str,
 
 
 def solver_command() -> str | None:
-    """Path of the SMT solver named by DEFUN_SMT_SOLVER, falling back to a
-    `z3` binary on PATH, if any."""
+    """Command line of the SMT solver named by DEFUN_SMT_SOLVER, falling
+    back to a `z3` binary on PATH, if any."""
     import shutil
-    return os.environ.get("DEFUN_SMT_SOLVER") or shutil.which("z3")
+    z3 = shutil.which("z3")
+    return os.environ.get("DEFUN_SMT_SOLVER") or (z3 and shlex.quote(z3))
 
 
 def run_solver(path: str, timeout: float = 5.0) -> str:
     """Run the configured solver on one .smt2 file; returns the solver's
-    first output line (sat/unsat/unknown)."""
+    first output line (sat/unsat/unknown).  The command is split like a
+    shell word list; `{file}` in it stands for the file, which is otherwise
+    appended."""
     import subprocess
     cmd = solver_command()
     if cmd is None:
         raise VCError("no SMT solver configured (set DEFUN_SMT_SOLVER)")
-    proc = subprocess.run([cmd, path], capture_output=True, text=True,
+    argv = shlex.split(cmd)
+    if "{file}" in cmd:
+        argv = [a.replace("{file}", path) for a in argv]
+    else:
+        argv.append(path)
+    proc = subprocess.run(argv, capture_output=True, text=True,
                           timeout=timeout)
     out = (proc.stdout or "").strip().splitlines()
     return out[0] if out else (proc.stderr or "").strip()
