@@ -15,6 +15,7 @@ from .frontend import parse_expr, parse_program
 from .interp import RunError, render_value
 from .syntax import (
     BoolLit, Cons, ConstructorApp, IntLit, NilLit, TupleE, TypeDecl, UnitLit,
+    children, walk,
 )
 from .typecheck import Checker
 
@@ -31,23 +32,28 @@ def load(path: str):
 
 
 def literal_value(e):
-    """Convert a first-order literal expression to a runtime value."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, UnitLit):
-        return interp.UNIT_V
-    if isinstance(e, NilLit):
-        return interp.NIL
-    if isinstance(e, Cons):
-        return interp.VConstr(
-            "Cons", (literal_value(e.head), literal_value(e.tail)))
-    if isinstance(e, ConstructorApp):
-        return interp.VConstr(e.name, tuple(literal_value(a) for a in e.args))
-    if isinstance(e, TupleE):
-        return interp.VTuple(tuple(literal_value(x) for x in e.items))
-    raise ValueError("argument is not a first-order literal")
+    """Convert a first-order literal expression to a runtime value.  Nodes
+    are converted in reverse pre-order, so each node finds its children's
+    values on top of a stack, first child uppermost; there is no recursion
+    for a long list literal to exhaust."""
+    stack = []
+    for n in reversed(list(walk(e))):
+        args = tuple(stack.pop() for _ in children(n))
+        if isinstance(n, (IntLit, BoolLit)):
+            stack.append(n.value)
+        elif isinstance(n, UnitLit):
+            stack.append(interp.UNIT_V)
+        elif isinstance(n, NilLit):
+            stack.append(interp.NIL)
+        elif isinstance(n, Cons):
+            stack.append(interp.VConstr("Cons", args))
+        elif isinstance(n, ConstructorApp):
+            stack.append(interp.VConstr(n.name, args))
+        elif isinstance(n, TupleE):
+            stack.append(interp.VTuple(args))
+        else:
+            raise ValueError("argument is not a first-order literal")
+    return stack.pop()
 
 
 def parse_arg(text: str):
@@ -141,7 +147,7 @@ def cmd_corpus(args) -> int:
                     seed=args.seed, fuel=args.fuel,
                     type_decls=checker.env.type_decls)
                 statuses.append(
-                    f"{entry}:{'pass' if report.passed else 'FAIL'}")
+                    f"{entry}:{'pass' if report.passed else report.status}")
             entry_result["equiv"] = " ".join(statuses) or "n/a"
             ok = all(s.endswith(":pass") for s in statuses) or not statuses
             entry_result["ok"] = ok

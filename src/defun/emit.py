@@ -25,6 +25,7 @@ from .syntax import (
 
 STDLIB_IMPORTS = [
     ("int.Int", None),        # always
+    ("int.ComputerDivision", "/"),  # `/` truncating toward zero
     ("int.MinMax", "max"),
     ("list.List", "list"),
     ("list.Length", "length"),
@@ -62,6 +63,8 @@ def _used_symbols(t: TargetProgram) -> set[str]:
                     used.add("list")
                 elif n.name in ("Empty", "Node"):
                     used.add("tree")
+            elif (cls is BinOp or cls is FArith) and n.op == "/":
+                used.add("/")
     return used
 
 

@@ -559,15 +559,28 @@ class TrialFailure:
 @dataclass
 class EquivReport:
     entry: str
-    trials: int
+    requested: int  # trials asked for
     seed: int
-    passed: bool
-    skipped: int = 0
+    trials: int = 0  # trials that ran: arguments generated and accepted
+    skipped: int = 0  # arguments rejected by the entry's requires
     failures: list = field(default_factory=list)
 
+    @property
+    def status(self) -> str:
+        """FAIL on a mismatch; INCONCLUSIVE when fewer trials ran than were
+        asked for, since untried arguments prove nothing; else PASS."""
+        if self.failures:
+            return "FAIL"
+        return "INCONCLUSIVE" if self.trials < self.requested else "PASS"
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "PASS"
+
     def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        line = (f"{status} {self.entry}: {self.trials} trials, "
+        ran = (f"{self.trials} of {self.requested}"
+               if self.status == "INCONCLUSIVE" else f"{self.trials}")
+        line = (f"{self.status} {self.entry}: {ran} trials, "
                 f"{self.skipped} skipped, seed {self.seed}")
         if self.failures:
             f = self.failures[0]
@@ -613,7 +626,7 @@ def equiv_check(p: Program, t: TargetProgram, entry: str,
             decls.setdefault(it.name, it)
     rng = random.Random(seed)
     fe = make_formula_evaluator(p)
-    report = EquivReport(entry=entry, trials=trials, seed=seed, passed=True)
+    report = EquivReport(entry=entry, requested=trials, seed=seed)
     requires = entry_def.spec.requires if entry_def.spec else []
     header = entry_def.spec.arg_names if entry_def.spec else []
     ran = 0
@@ -629,7 +642,6 @@ def equiv_check(p: Program, t: TargetProgram, entry: str,
         ho = _outcome(lambda: eval_ho(p, entry, args, fuel))
         fo = _outcome(lambda: eval_fo(t, entry, args, fuel))
         if not _same(ho, fo):
-            report.passed = False
             report.failures.append(TrialFailure(args, ho, fo))
             break
     report.trials = ran

@@ -116,6 +116,10 @@ class VCGen:
         # from before the call
         self._extra_binders: list = []
         self._extra_hyps: list = []
+        # the continuation of the definition body being walked (its ensures
+        # clause or the trivial one): small, so branches copy it; any
+        # other continuation is joined through a fresh binder (wp_join)
+        self._post = None
 
     def _side(self, binders, hyps, goal, origin, sink):
         if sink is not None:
@@ -188,6 +192,10 @@ class VCGen:
             return self.wp(d.body, after, env, ctx, sink)
         if isinstance(e, If):
             def split(c):
+                if C is not self._post:
+                    return self.wp_join(e.ty, [([c], e.then, env),
+                                               ([Not(c)], e.els, env)],
+                                        C, ctx, sink)
                 binders, hyps = ctx
                 then = self.wp(e.then, C, env, (binders, hyps + [c]), sink)
                 els = self.wp(e.els, C, env, (binders, hyps + [Not(c)]), sink)
@@ -195,6 +203,9 @@ class VCGen:
             return self.wp(e.cond, split, env, ctx, sink)
         if isinstance(e, Match):
             def split(s):
+                if C is not self._post:
+                    return self.wp_join(e.ty, match_arms(e, s, env), C, ctx,
+                                        sink)
                 return self.wp_match(e, s, C, env, ctx, sink)
             return self.wp(e.scrutinee, split, env, ctx, sink)
         if isinstance(e, Absurd):
@@ -228,22 +239,39 @@ class VCGen:
     def wp_match(self, e: Match, scrut: Formula, C, env, ctx, sink):
         binders, hyps = ctx
         parts = []
-        seen: list[Formula] = []
-        for pat, body in e.arms:
-            cond, binds = pattern_cond(pat, scrut)
-            path = [Not(c) for c in seen] + (
-                [] if isinstance(cond, TrueP) else [cond])
-            seen.append(cond)
-            arm_ctx = (binders, hyps + path)
+        for path, body, env2 in match_arms(e, scrut, env):
             if isinstance(body, Absurd):
                 self._side(binders, hyps + path, FALSE,
                            ("", e.loc, "absurd-unreachable"), sink)
                 continue
-            env2 = dict(env)
-            env2.update(binds)
-            inner = self.wp(body, C, env2, arm_ctx, sink)
+            inner = self.wp(body, C, env2, (binders, hyps + path), sink)
             parts.append(Implies(conj(path), inner) if path else inner)
         return conj(parts)
+
+    def wp_join(self, ty, branches, C, ctx, sink):
+        """wp of a branching node whose value flows into `C`: a fresh
+        binder `j` stands for the value, and `C` is applied once, to `j`,
+        under the fact that some branch can yield `j` (Flanagan & Saxe,
+        POPL 2001).  `branches` are (path, body, env) triples."""
+        j = FVar(self.fresh("join_"))
+        binders, hyps = ctx
+        facts = []
+        for path, body, env in branches:
+            # "body can yield j" = not (every outcome t of body differs
+            # from j); for a call-free body this is just j = t
+            w = self.wp(body, lambda t: Not(Eq(j, t)), env,
+                        (binders, hyps + path), sink)
+            fact = w.body if isinstance(w, Not) else Not(w)
+            facts.append(Implies(conj(path), fact) if path else fact)
+        fact = conj(facts)
+        self._extra_binders.append((j.name, ty))
+        self._extra_hyps.append(fact)
+        try:
+            inner = C(j)
+        finally:
+            self._extra_binders.pop()
+            self._extra_hyps.pop()
+        return Forall([(j.name, ty)], Implies(fact, inner))
 
     def wp_call(self, head: Var, args, C, ctx, sink):
         d = self.defs.get(head.name)
@@ -278,31 +306,20 @@ class VCGen:
         hyps = list(self.lemma_hyps)
         if d.spec is not None:
             hyps += d.spec.requires
-        arms = None
-        body = d.body
-        if isinstance(body, Match) and isinstance(body.scrutinee, Var):
-            arms = body
 
         def harvest(vc: VC):
             name = f"vc_{d.name}_{len(out)}"
             out.append(VC(name, vc.binders, vc.hypotheses, vc.goal,
                           (d.name, vc.origin[1], vc.origin[2])))
 
-        cases = []
-        if arms is not None:
-            scrut = FVar(arms.scrutinee.name)
-            seen = []
-            for pat, arm_body in arms.arms:
-                cond, binds = pattern_cond(pat, scrut)
-                path = [Not(c) for c in seen] + (
-                    [] if isinstance(cond, TrueP) else [cond])
-                seen.append(cond)
-                cases.append((arm_body, path, binds))
+        body = d.body
+        if isinstance(body, Match) and isinstance(body.scrutinee, Var):
+            cases = match_arms(body, FVar(body.scrutinee.name), {})
         else:
-            cases.append((body, [], {}))
+            cases = [([], body, {})]
 
         ensures = d.spec.ensures if d.spec is not None else []
-        for i, (arm_body, path, binds) in enumerate(cases):
+        for path, arm_body, binds in cases:
             ctx = (binders, hyps + path)
             if isinstance(arm_body, Absurd):
                 harvest(VC("", list(binders), hyps + path, FALSE,
@@ -312,6 +329,7 @@ class VCGen:
             for q in ensures:
                 def C(t, q=q):
                     return subst(q, {"result": t})
+                self._post = C
                 goal = self.wp(arm_body, C, dict(binds), ctx,
                                harvest if first else None)
                 first = False
@@ -319,8 +337,8 @@ class VCGen:
                            (d.name, d.loc, "postcondition")))
             if not ensures:
                 # still walk the body for absurd / precondition side VCs
-                self.wp(arm_body, lambda t: TrueP(), dict(binds), ctx,
-                        harvest)
+                self._post = _trivial
+                self.wp(arm_body, _trivial, dict(binds), ctx, harvest)
         self.vcs.extend(out)
 
     def generate(self) -> list[VC]:
@@ -339,6 +357,25 @@ class VCGen:
                 raise VCError(f"definition {d.name!r} is too large for VC "
                               "generation", d.loc, "nesting-too-deep") from None
         return self.vcs
+
+
+def _trivial(t):
+    return TrueP()
+
+
+def match_arms(e: Match, scrut: Formula, env: dict):
+    """(path, body, env) per arm of `e` on `scrut`: the arm's condition
+    after the negations of the earlier arms', and `env` extended with the
+    arm's pattern bindings."""
+    seen: list[Formula] = []
+    for pat, body in e.arms:
+        cond, binds = pattern_cond(pat, scrut)
+        path = [Not(c) for c in seen] + (
+            [] if isinstance(cond, TrueP) else [cond])
+        seen.append(cond)
+        env2 = dict(env)
+        env2.update(binds)
+        yield path, body, env2
 
 
 def subst(f: Formula, mapping: dict):
@@ -362,7 +399,22 @@ class SmtEmitter:
         self.need_list = False
         self.need_tree = False
         self.datatypes: list = []  # (sort, [(ctor, [(sel, sort)])])
+        self.need_div = False
+        self._absurds = set()
         self._scan()
+        # the definitions depend on the program only: render them once,
+        # and keep the sorts they register as every VC's starting point
+        self.preamble = (self.builtin_defs() + self.logical_defs()
+                         + self.post_defs() + self.fn_defs())
+        self._program_sorts = (dict(self.tuple_sorts), self.need_unit,
+                               self.need_list, self.need_tree, self.need_div,
+                               set(self._absurds))
+
+    def _reset_sorts(self):
+        (tuples, self.need_unit, self.need_list, self.need_tree,
+         self.need_div, absurds) = self._program_sorts
+        self.tuple_sorts = dict(tuples)
+        self._absurds = set(absurds)
 
     # -- sorts -------------------------------------------------------------
 
@@ -560,8 +612,9 @@ class SmtEmitter:
                     + " ".join(self.expr(x, env) for x in e.items) + ")")
         if isinstance(e, BinOp):
             op = {"=": "=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-                  "+": "+", "-": "-", "*": "*", "/": "div",
+                  "+": "+", "-": "-", "*": "*", "/": TRUNC_DIV,
                   "&&": "and", "||": "or"}[e.op]
+            self.need_div |= e.op == "/"
             return f"({op} {self.expr(e.left, env)} {self.expr(e.right, env)})"
         if isinstance(e, Seq):
             return self.expr(e.second, env)
@@ -606,8 +659,6 @@ class SmtEmitter:
                     + " ".join(self.expr(a, env) for a in args) + ")")
         raise VCError(f"cannot encode expression {e!r}")
 
-    _absurds: set = None  # set per emission run
-
     def formula(self, f: Formula, env: dict) -> str:
         if isinstance(f, TrueP):
             return "true"
@@ -637,7 +688,10 @@ class SmtEmitter:
             return ("(" + f.name + " "
                     + " ".join(self.formula(a, env) for a in f.args) + ")")
         if isinstance(f, FArith):
-            op = "div" if f.op == "/" else f.op
+            op = f.op
+            if op == "/":
+                op = TRUNC_DIV
+                self.need_div = True
             return (f"({op} {self.formula(f.left, env)} "
                     f"{self.formula(f.right, env)})")
         if isinstance(f, FTuple):
@@ -693,11 +747,10 @@ class SmtEmitter:
     # -- one file per VC ---------------------------------------------------
 
     def emit_vc(self, vc: VC) -> str:
-        self._absurds = set()
-        # render bodies first so tuple sorts used only in formulas get
-        # registered before the datatype block is built
-        body_parts = (self.builtin_defs() + self.logical_defs()
-                      + self.post_defs() + self.fn_defs())
+        # a file declares the sorts of its program and of its own VC only,
+        # whatever was emitted before it; the VC is rendered before the
+        # datatype block so that sorts used only in its formulas count
+        self._reset_sorts()
         consts = [f"(declare-const {n} {self.sort(t)})"
                   for n, t in vc.binders]
         hyps = [f"(assert {self.formula(h, {})})" for h in vc.hypotheses]
@@ -705,9 +758,17 @@ class SmtEmitter:
         decls = self.datatype_block()
         absurds = [f"(declare-fun absurd-{_flat(s)} () {s})"
                    for s in sorted(self._absurds)]
-        lines = (["(set-logic ALL)"] + decls + absurds + body_parts + consts
-                 + hyps + [goal, "(check-sat)"])
+        div = [TRUNC_DIV_DEF] if self.need_div else []
+        lines = (["(set-logic ALL)"] + decls + absurds + div + self.preamble
+                 + consts + hyps + [goal, "(check-sat)"])
         return "\n".join(lines) + "\n"
+
+
+# integer division truncating toward zero, as the interpreter computes it
+# (SMT-LIB's `div` is Euclidean: (div (- 7) 2) is -4, not -3)
+TRUNC_DIV = "div-trunc"
+TRUNC_DIV_DEF = (f"(define-fun {TRUNC_DIV} ((a Int) (b Int)) Int "
+                 "(ite (>= a 0) (div a b) (- (div (- a) b))))")
 
 
 def _flat(sort: str) -> str:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from defun.cli import main
+from defun.cli import main, parse_arg
+from defun.interp import NIL, UNIT_V, VConstr, VTuple
 
 from conftest import CORPUS, GOLDEN, corpus_text
 
@@ -67,6 +68,25 @@ class TestRun:
         path = mlg("let f (a : int) : int = a")
         assert main(["run", path, "--entry", "f", "--arg", "wat"]) == 1
 
+    def test_long_list_argument(self, capsys):
+        items = [str(i % 10) for i in range(3000)]
+        code = main(["run", str(CORPUS / "reverse.mlg"), "--entry", "reverse",
+                     "--arg", "[" + ";".join(items) + "]"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == (
+            "[" + ";".join(reversed(items)) + "]")
+
+    def test_parse_arg_without_recursion(self):
+        v = parse_arg("[" + ";".join(["1"] * 10**5) + "]")
+        n = 0
+        while v.name == "Cons":
+            n, v = n + 1, v.args[1]
+        assert n == 10**5
+        assert parse_arg("(1, [2], Node (Empty, 3, Empty), true, ())") == (
+            VTuple((1, VConstr("Cons", (2, NIL)),
+                    VConstr("Node", (VConstr("Empty", ()), 3,
+                                     VConstr("Empty", ()))), True, UNIT_V)))
+
 
 class TestEmit:
     def test_whyml_matches_golden(self, tmp_path, capsys):
@@ -98,6 +118,35 @@ class TestEquiv:
         assert code == 0
         out = capsys.readouterr().out
         assert "25" in out and ("pass" in out.lower() or "ok" in out.lower())
+
+
+VACUOUS = """\
+let g (x : int) : int = x + 1
+(*@ r = g x
+      requires x = 12345
+      ensures r = x + 1 *)
+"""
+
+
+class TestVacuousPass:
+    """An entry whose requires rejects every generated argument ran no
+    trial at all, which must not read as a pass."""
+
+    def test_equiv_inconclusive_exit_1(self, mlg, capsys):
+        assert main(["equiv", mlg(VACUOUS), "--entry", "g",
+                     "--trials", "10"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("INCONCLUSIVE g: 0 of 10 trials, "), out
+
+    def test_corpus_does_not_count_it(self, tmp_path, capsys):
+        d = tmp_path / "c"
+        d.mkdir()
+        (d / "vacuous.mlg").write_text(VACUOUS)
+        assert main(["corpus", str(d), "-o", str(tmp_path / "out"),
+                     "--trials", "10", "--json"]) == 1
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert not entry["ok"]
+        assert entry["equiv"] == "g:INCONCLUSIVE"
 
 
 class TestCorpus:

@@ -73,3 +73,22 @@ class TestSurfaceRoundTrip:
         p = parse_program(src)
         p2 = parse_program(emit_surface(p))
         assert p2 == p
+
+
+class TestDivisionImport:
+    DIV = """\
+let q (a : int) (b : int) : int = a / b
+(*@ r = q a b
+      requires 0 < b
+      ensures r = a / b *)
+"""
+
+    def test_truncating_division_imported_when_used(self):
+        text = emit_whyml(pipeline(self.DIV)[2])
+        header = text.split("\n\n")[0].split("\n")
+        assert header[1:] == ["  use int.Int", "  use int.ComputerDivision"]
+        assert render_doc(parse_whyml(text)) == text
+
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_not_imported_otherwise(self, corpus_targets, name):
+        assert "ComputerDivision" not in emit_whyml(corpus_targets[name][2])

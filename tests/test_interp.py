@@ -142,3 +142,13 @@ class TestEquivalence:
         r1 = equiv_check(p, t, "reverse", trials=5, seed=1,
                          type_decls=c.env.type_decls)
         assert r1.passed and r1.trials == 5
+
+    def test_too_few_trials_is_not_a_pass(self):
+        p, c, t = pipeline(
+            "let g (x : int) : int = x + 1\n"
+            "(*@ r = g x\n      requires x = 12345\n      ensures r = x + 1 *)\n")
+        report = equiv_check(p, t, "g", trials=10, seed=0,
+                             type_decls=c.env.type_decls)
+        assert (report.trials, report.requested) == (0, 10)
+        assert report.skipped > 0 and not report.failures
+        assert report.status == "INCONCLUSIVE" and not report.passed

@@ -1,21 +1,25 @@
+import importlib.util
 import itertools
 import json
 import shutil
 import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from defun.interp import VConstr
+from defun.interp import VConstr, eval_ho
 from defun.syntax import (
     And, Eq, FArith, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple,
     Forall, FVar, Implies, Le, Lt, Not, Or, TrueP, TBool, TInt, TNamed,
 )
 from defun.vcgen import (
-    emit_smt, generate_vcs, pattern_cond, run_solver, solver_command,
+    SmtEmitter, emit_smt, generate_vcs, pattern_cond, run_solver,
+    solver_command,
 )
 
-from conftest import CORPUS_FILES, corpus_text, pipeline
+from conftest import CORPUS_FILES, ROOT, corpus_text, pipeline
+from genprog import gen_program
 
 EXPECTED_COUNTS = {
     "reverse.mlg": 2,
@@ -155,6 +159,88 @@ class TestSmtFiles:
         for fa in sorted(a.iterdir()):
             assert fa.read_text() == (b / fa.name).read_text()
 
+    def test_files_do_not_depend_on_emission_order(self, corpus_targets,
+                                                   tmp_path):
+        targets = [t for _, _, t in corpus_targets.values()]
+        targets += [pipeline(gen_program(s))[2] for s in range(40)]
+        for i, t in enumerate(targets):
+            vcs = generate_vcs(t)
+            a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            emit_smt(vcs, t, a)
+            emit_smt(vcs[::-1], t, b)
+            for vc in vcs:
+                name = f"{vc.name}.smt2"
+                assert (a / name).read_text() == (b / name).read_text()
+
+
+# ---------------------------------------------------------------------------
+# Division truncates toward zero in the interpreter, and so must the SMT
+# encoding: ground VCs are evaluated here under SMT-LIB's Euclidean `div`.
+
+
+def smt_eval(term, funs, env):
+    if isinstance(term, str):
+        if term in env:
+            return env[term]
+        if term in ("true", "false"):
+            return term == "true"
+        return int(term)
+    head, *args = term
+    if head == "ite":
+        c, a, b = args
+        return smt_eval(a if smt_eval(c, funs, env) else b, funs, env)
+    vals = [smt_eval(a, funs, env) for a in args]
+    if head in funs:
+        params, body = funs[head]
+        return smt_eval(body, funs, dict(zip(params, vals)))
+    if head == "-" and len(vals) == 1:
+        return -vals[0]
+    x, y = vals if len(vals) == 2 else (vals[0], None)
+    return {
+        "+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y,
+        "div": lambda: x // y if y > 0 else -(x // -y),  # Euclidean
+        "=": lambda: x == y, "<": lambda: x < y, "<=": lambda: x <= y,
+        ">=": lambda: x >= y, "not": lambda: not x,
+    }[head]()
+
+
+def smt_asserts(text: str) -> list:
+    """The value of each `assert` in a ground SMT-LIB2 file."""
+    funs, env, out = {}, {}, []
+    for form in parse_sexprs(text):
+        if form[0] == "define-fun":
+            funs[form[1]] = ([p for p, _ in form[2]], form[4])
+        elif form[0] == "declare-const":
+            env[form[1]] = 0
+        elif form[0] == "assert":
+            out.append(smt_eval(form[1], funs, env))
+    return out
+
+
+def src_int(n: int) -> str:
+    return str(n) if n >= 0 else f"(0 - {-n})"
+
+
+class TestTruncatingDivision:
+    @pytest.mark.parametrize("a,b", [(7, 2), (-7, 2), (7, -2), (-7, -2)])
+    def test_smt_agrees_with_interpreter(self, a, b, tmp_path):
+        expected = int(a / b)
+        text = (f"let q (u : int) : int = {src_int(a)} / {src_int(b)}\n"
+                f"(*@ r = q u\n      ensures r = {src_int(expected)} *)\n")
+        p, _, t = pipeline(text)
+        assert eval_ho(p, "q", [0]) == expected
+        vcs = generate_vcs(t)
+        emit_smt(vcs, t, tmp_path)
+        (vc,) = vcs
+        # the only assertion is the negated goal: false means valid
+        assert smt_asserts((tmp_path / f"{vc.name}.smt2").read_text()) == [
+            False]
+
+    def test_definition_only_when_dividing(self, emitted):
+        for d in emitted.values():
+            for path in d.glob("*.smt2"):
+                assert "div" not in path.read_text()
+
 
 # ---------------------------------------------------------------------------
 # Enumeration-based soundness spot check: the length VCs, interpreted over
@@ -163,9 +249,9 @@ class TestSmtFiles:
 INTS = [-2, 0, 1, 3]
 
 
-def enum_values(ty, t, depth=2):
+def enum_values(ty, t, depth=2, ints=INTS):
     if isinstance(ty, TInt):
-        return INTS
+        return ints
     if isinstance(ty, TBool):
         return [False, True]
     if isinstance(ty, TNamed) and ty.name == "list":
@@ -185,7 +271,7 @@ def enum_values(ty, t, depth=2):
         for c, fields in decl.variants:
             if not fields:
                 continue
-            pools = [enum_values(ft, t, 0) if not isinstance(ft, TNamed)
+            pools = [enum_values(ft, t, 0, ints) if not isinstance(ft, TNamed)
                      or ft.name != ty.name else vals for ft in fields]
             for combo in itertools.product(*pools):
                 new.append(VConstr(c, combo))
@@ -201,8 +287,9 @@ def _len(v):
 
 
 class Evaluator:
-    def __init__(self, t):
+    def __init__(self, t, ints=INTS):
         self.t = t
+        self.ints = ints
         self.posts = {p.name: p for p in t.post_defs}
         self.applies = {d.name: d for d in t.apply_defs}
 
@@ -258,7 +345,7 @@ class Evaluator:
                     return self.ev(f.body, env)
                 (name, ty), rest = bs[0], bs[1:]
                 return all(rec(rest, {**env, name: v})
-                           for v in enum_values(ty, self.t))
+                           for v in enum_values(ty, self.t, ints=self.ints))
             return rec(f.binders, env)
         if isinstance(f, FLogicApp):
             return self.app(f, env)
@@ -308,6 +395,126 @@ class TestEnumerationSoundness:
         broken = Forall(vc.binders,
                         Implies(conj(vc.hypotheses), Not(vc.goal)))
         assert not ev.ev(broken, {})
+
+
+# ---------------------------------------------------------------------------
+# Join binders: an `if`/`match` whose value flows into later code is bound
+# once to a fresh `join_k`, so VC size is linear in the number of branches.
+# A branch value outside the enumerated ints would make the join hypothesis
+# vacuous, hence the wider domain.
+
+WIDE = range(-3, 16)
+
+
+def _load_workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+ladder_source = _load_workloads().ladder_source
+LADDER_CONSTS = [4, 7, 2, 9, 5]
+
+
+def with_ensures(text: str, ensures: str) -> str:
+    head, _, _ = text.rpartition("ensures ")
+    return head + "ensures " + ensures + " *)\n"
+
+
+def vcs_of(text: str):
+    _, _, t = pipeline(text)
+    return t, generate_vcs(t)
+
+
+def valid(t, vc, ints=WIDE) -> bool:
+    closed = Forall(vc.binders, Implies(conj(vc.hypotheses), vc.goal))
+    return Evaluator(t, ints).ev(closed, {})
+
+
+def all_valid(text: str, ints=WIDE) -> bool:
+    t, vcs = vcs_of(text)
+    return all(valid(t, vc, ints) for vc in vcs)
+
+
+class TestJoinBinders:
+    def ladder_bytes(self, n, tmp_path):
+        t, vcs = vcs_of(ladder_source(n, [5] * n))
+        assert len(vcs) == 1
+        emit_smt(vcs, t, tmp_path / f"n{n}")
+        return len((tmp_path / f"n{n}" / f"{vcs[0].name}.smt2").read_bytes())
+
+    def test_ladder_bytes_grow_linearly(self, tmp_path):
+        b6, b12, b24 = (self.ladder_bytes(n, tmp_path) for n in (6, 12, 24))
+        assert abs((b24 - b12) - 2 * (b12 - b6)) <= 0.1 * 2 * (b12 - b6)
+
+    def test_ladder_step_is_one_implication_per_branch(self):
+        t, (vc,) = vcs_of(ladder_source(1, [4]))
+        text = SmtEmitter(t).emit_vc(vc)
+        assert "(=> (< a 4) (= join_0 (+ a 1)))" in text
+        assert "(=> (not (< a 4)) (= join_0 a))" in text
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_ladder_sound_by_enumeration(self, n):
+        text = ladder_source(n, LADDER_CONSTS[:n])
+        assert all_valid(text)
+        # all n steps increment from a = -3; none does from a = 9
+        assert not all_valid(with_ensures(text, f"r <= a + {n - 1}"))
+        assert not all_valid(with_ensures(text, "a + 1 <= r"))
+
+    MATCH = """\
+let f (l : int list) (a : int) : int =
+  let y : int = match l with
+    | [] -> a
+    | h :: t -> a + 1
+    end in
+  y + 1
+(*@ r = f l a
+      ensures a + 1 <= r && r <= a + 2 *)
+"""
+
+    def test_non_tail_match_sound_by_enumeration(self):
+        t, vcs = vcs_of(self.MATCH)
+        assert "join_0" in str(vcs[0].goal)
+        assert all_valid(self.MATCH)
+        assert not all_valid(with_ensures(self.MATCH, "r <= a + 1"))
+        assert not all_valid(with_ensures(self.MATCH, "a + 2 <= r"))
+
+    CALLS = """\
+let maxi (x : int) (y : int) : int = if x < y then y else x
+(*@ r = maxi x y
+      ensures x <= r && y <= r *)
+
+let pos (x : int) : int = x
+(*@ r = pos x
+      requires 0 <= x
+      ensures r = x *)
+
+let f (a : int) (b : int) : int =
+  let m : int = if a < 0 then 0 else maxi a b in
+  pos m
+(*@ r = f a b
+      ensures 0 <= r *)
+"""
+
+    def test_non_tail_if_with_contract_calls(self):
+        # four nested binders (a, b, join, res): a narrower domain keeps
+        # this fast, and every value a branch can take is still in it
+        ints = range(-3, 8)
+        t, vcs = vcs_of(self.CALLS)
+        pre = [vc for vc in vcs if vc.kind == "precondition-at-call"]
+        assert len(pre) == 1
+        # the precondition is checked of the join value, under the join fact
+        assert pre[0].binders[-1][0].startswith("join_")
+        assert valid(t, pre[0], ints)
+        assert all_valid(self.CALLS, ints)
+        assert not all_valid(with_ensures(self.CALLS, "r <= a"), ints)
+        broken = self.CALLS.replace("then 0 else", "then a else")
+        t, vcs = vcs_of(broken)
+        (pre,) = [vc for vc in vcs if vc.kind == "precondition-at-call"]
+        assert not valid(t, pre, ints)
 
 
 def conj(fs):
