@@ -64,6 +64,19 @@ class TestRun:
         assert main(["run", path, "--entry", "f", "--arg", "3"]) == 1
         assert "division-by-zero" in capsys.readouterr().err
 
+    def test_ill_arity_argument_matches_no_arm(self, capsys):
+        # `--arg` values are not type-checked: `Sub` without its two fields
+        # matches no `Sub(...)` pattern, since a constructor pattern
+        # matches only a value of its own arity
+        args = ["run", str(CORPUS / "smallstep.mlg"), "--entry", "red",
+                "--arg", "Sub"]
+        assert main(args) == 1
+        assert ("absurd-reached: no match arm applies"
+                in capsys.readouterr().err)
+        assert main(args + ["--target"]) == 1
+        assert ("absurd-reached: reached an absurd match arm"
+                in capsys.readouterr().err)
+
     def test_bad_literal_exit_1(self, mlg):
         path = mlg("let f (a : int) : int = a")
         assert main(["run", path, "--entry", "f", "--arg", "wat"]) == 1
