@@ -10,12 +10,12 @@ from dataclasses import dataclass, field
 from .errors import Loc, TransformError
 from .specs import expand_post_meta, passthrough_lemma, subst_formula, translate_spec
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, Eq, Expr, ExprStmt,
-    FConstr, FLet, FLogicApp, FVar, Forall, Formula, If, IntLit, LemmaDecl,
-    LetDef, LetIn, Lambda, Match, NilLit, PCons, PConstr, PInt, PNil, PTuple,
-    PVar, PWild, Pattern, Program, Seq, Spec, TArrow, TNamed, TTuple, TrueP,
-    TupleE, Ty, TypeDecl, UnitLit, Var, all_identifiers, conj, free_vars,
-    int_list, int_tree, map_children, walk, walk_scoped, INT,
+    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, Expr, ExprStmt,
+    FBinOp, FConstr, FLet, FLogicApp, FVar, Forall, Formula, If, IntLit,
+    LemmaDecl, LetDef, LetIn, Lambda, Match, NilLit, PCons, PConstr, PInt,
+    PNil, PTuple, PVar, PWild, Pattern, Program, Seq, Spec, TArrow, TNamed,
+    TTuple, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, all_identifiers, conj,
+    free_vars, int_list, int_tree, map_children, walk, walk_scoped, INT,
 )
 from .typecheck import Checker
 
@@ -433,9 +433,9 @@ class Defunctionalizer:
                 # an unannotated curried lambda returns the next closure in
                 # the chain, so its post states the constructor equation
                 inner = self.site_of[id(s.body)]
-                formula = Eq(FVar(result),
-                             FConstr(inner.ctor_name,
-                                     [FVar(n) for n, _ in inner.captured]))
+                formula = FBinOp("=", FVar(result),
+                                 FConstr(inner.ctor_name,
+                                         [FVar(n) for n, _ in inner.captured]))
             else:
                 formula = TrueP()
             arms.append((pat, FLet(s.param[0], FVar(arg), formula)))

@@ -11,13 +11,12 @@ from .defunc import PredDef, TargetProgram
 from .errors import ParseError
 from .frontend import Parser, tokenize
 from .syntax import (
-    Absurd, And, App, BinOp, BoolLit, Cons, ConstructorApp, Eq, ExprStmt,
-    FArith, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, FVar,
-    Forall, Formula, If, Implies, IntLit, LemmaDecl, LetDef, LetIn, Lambda,
-    LogicalDecl, Lt, Le, Match, NilLit, Not, Or, PCons, PConstr, PInt, PNil,
-    PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow, TBool, TInt,
-    TNamed, TTuple, TUnit, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, walk,
-    BOOL, INT, UNIT,
+    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
+    FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, If,
+    IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit,
+    Not, PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, PostMeta, Program,
+    RELATIONS, Seq, Spec, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
+    TupleE, Ty, TypeDecl, UnitLit, Var, walk, BOOL, INT, UNIT,
 )
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def _used_symbols(t: TargetProgram) -> set[str]:
                     used.add("list")
                 elif n.name in ("Empty", "Node"):
                     used.add("tree")
-            elif (cls is BinOp or cls is FArith) and n.op == "/":
+            elif (cls is BinOp or cls is FBinOp) and n.op == "/":
                 used.add("/")
     return used
 
@@ -174,9 +173,8 @@ def w_expr(e, indent: int = 0) -> str:
     if isinstance(e, TupleE):
         return "(" + ", ".join(w_expr(x, indent) for x in e.items) + ")"
     if isinstance(e, BinOp):
-        op = {"&&": "&&", "||": "||"}.get(e.op, e.op)
-        return (f"({w_expr(e.left, indent)} {op} "
-                f"{w_expr(e.right, indent)})")
+        return (f"({_w_operand(e.left, indent)} {e.op} "
+                f"{_w_operand(e.right, indent)})")
     if isinstance(e, Seq):
         return f"({w_expr(e.first, indent)}; {w_expr(e.second, indent)})"
     if isinstance(e, LetIn):
@@ -206,6 +204,12 @@ def w_expr(e, indent: int = 0) -> str:
     raise AssertionError(f"unrenderable expression {e!r}")
 
 
+def _w_operand(e, indent) -> str:
+    # an `if` or `let` reaches as far right as it can, so it is enclosed
+    s = w_expr(e, indent)
+    return f"({s})" if isinstance(e, (If, LetIn)) else s
+
+
 def _w_atom(e, indent) -> str:
     s = w_expr(e, indent)
     if s.startswith("(") or "\n" not in s and " " not in s:
@@ -231,24 +235,13 @@ def w_formula(f, indent: int = 0) -> str:
     if isinstance(f, FLogicApp):
         return ("(" + f.name + " "
                 + " ".join(_wf_atom(a, indent) for a in f.args) + ")")
-    if isinstance(f, FArith):
-        return f"({w_formula(f.left, indent)} {f.op} {w_formula(f.right, indent)})"
+    if isinstance(f, FBinOp):
+        s = f"{w_formula(f.left, indent)} {f.op} {w_formula(f.right, indent)}"
+        return s if f.op in RELATIONS else f"({s})"
     if isinstance(f, FTuple):
         return "(" + ", ".join(w_formula(x, indent) for x in f.items) + ")"
-    if isinstance(f, Eq):
-        return f"{w_formula(f.left, indent)} = {w_formula(f.right, indent)}"
-    if isinstance(f, Lt):
-        return f"{w_formula(f.left, indent)} < {w_formula(f.right, indent)}"
-    if isinstance(f, Le):
-        return f"{w_formula(f.left, indent)} <= {w_formula(f.right, indent)}"
-    if isinstance(f, And):
-        return f"({w_formula(f.left, indent)} /\\ {w_formula(f.right, indent)})"
-    if isinstance(f, Or):
-        return f"({w_formula(f.left, indent)} \\/ {w_formula(f.right, indent)})"
     if isinstance(f, Not):
         return f"(not {w_formula(f.body, indent)})"
-    if isinstance(f, Implies):
-        return f"({w_formula(f.left, indent)} -> {w_formula(f.right, indent)})"
     if isinstance(f, Forall):
         binders = ", ".join(f"{n} : {w_ty(t)}" for n, t in f.binders)
         return f"(forall {binders}. {w_formula(f.body, indent)})"
@@ -451,7 +444,7 @@ class WhymlParser(Parser):
             self.next()
             name = self.expect("ident").text
             self.expect("op", ":")
-            f = self.parse_wformula()
+            f = self.parse_formula()
             return [("lemma", LemmaDecl(name, f))]
         if self.at("kw", "let"):
             self.next()
@@ -523,7 +516,7 @@ class WhymlParser(Parser):
             self.next()
             pat = self.parse_wpattern()
             self.expect("op", "->")
-            arms.append((pat, self.parse_wformula()))
+            arms.append((pat, self.parse_formula()))
         self.expect("kw", "end")
         (k, kty), (a, aty), (r, rty) = params
         if scrut != k:
@@ -539,7 +532,7 @@ class WhymlParser(Parser):
         while self.at("kw", "requires") or self.at("kw", "ensures"):
             which = self.next().text
             self.expect("punct", "{")
-            f = self.parse_wformula()
+            f = self.parse_formula()
             self.expect("punct", "}")
             (spec.requires if which == "requires" else spec.ensures).append(f)
         self.expect("op", "=")
@@ -707,150 +700,41 @@ class WhymlParser(Parser):
             return p
         self.fail("expected a pattern")
 
-    # -- formulas ----------------------------------------------------------
+    # -- formulas: the frontend's grammar, with `let`/`match` and curried
+    # constructor application ----------------------------------------------
 
-    def parse_wformula(self):
-        if self.at("kw", "forall"):
-            return self.parse_wforall()
-        return self.parse_wimplies()
-
-    def parse_wforall(self):
-        self.expect("kw", "forall")
-        binders = []
-        while True:
-            name = self.expect("ident").text
-            self.expect("op", ":")
-            binders.append((name, self.parse_ty()))
-            if self.at("punct", ","):
-                self.next()
-            else:
-                break
-        self.expect("punct", ".")
-        return Forall(binders, self.parse_wformula())
-
-    def parse_wimplies(self):
-        f = self.parse_wfor()
-        if self.at("op", "->"):
-            self.next()
-            return Implies(f, self.parse_wformula())
-        return f
-
-    def parse_wfor(self):
-        f = self.parse_wfand()
-        while self.at("op", "\\/"):
-            self.next()
-            f = Or(f, self.parse_wfand())
-        return f
-
-    def parse_wfand(self):
-        f = self.parse_wfnot()
-        while self.at("op", "/\\"):
-            self.next()
-            f = And(f, self.parse_wfnot())
-        return f
-
-    def parse_wfnot(self):
-        if self.at("kw", "not"):
-            self.next()
-            return Not(self.parse_wfnot())
-        if self.at("kw", "forall"):
-            return self.parse_wforall()
+    def parse_fnot(self):
+        t = self.peek()
         if self.at("kw", "let"):
             self.next()
             name = self.expect("ident").text
             self.expect("op", "=")
-            value = self.parse_wfterm()
+            value = self.parse_fterm()
             self.expect("kw", "in")
-            return FLet(name, value, self.parse_wformula())
+            return FLet(name, value, self.parse_formula(), loc=t.loc)
         if self.at("kw", "match"):
             self.next()
-            scrut = self.parse_wfterm()
+            scrut = self.parse_fterm()
             self.expect("kw", "with")
             arms = []
             while self.at("punct", "|"):
                 self.next()
                 pat = self.parse_wpattern()
                 self.expect("op", "->")
-                arms.append((pat, self.parse_wformula()))
+                arms.append((pat, self.parse_formula()))
             self.expect("kw", "end")
-            return FMatch(scrut, arms)
-        return self.parse_wfcmp()
+            return FMatch(scrut, arms, loc=t.loc)
+        return super().parse_fnot()
 
-    def parse_wfcmp(self):
-        t = self.parse_wfterm()
-        op = self.peek()
-        if op.kind == "op" and op.text in ("=", "<", "<="):
-            self.next()
-            rhs = self.parse_wfterm()
-            return {"=": Eq, "<": Lt, "<=": Le}[op.text](t, rhs)
-        if isinstance(t, FBool):
-            return TrueP() if t.value else Not(TrueP())
-        return t
-
-    def parse_wfterm(self):
-        f = self.parse_wfapp()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-",
-                                                                "*", "/"):
-            op = self.next()
-            f = FArith(op.text, f, self.parse_wfapp())
-        return f
-
-    def parse_wfapp(self):
+    def parse_fapp(self):
         t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            args = []
-            while self._wfatom_start():
-                args.append(self.parse_wfatom())
-            if args:
-                return FLogicApp(t.text, args)
-            return FVar(t.text)
-        if t.kind == "uident":
-            self.next()
-            args = []
-            while self._wfatom_start():
-                args.append(self.parse_wfatom())
-            return FConstr(t.text, args)
-        return self.parse_wfatom()
-
-    def _wfatom_start(self):
-        t = self.peek()
-        return (t.kind in ("int", "ident", "uident")
-                or (t.kind == "kw" and t.text in ("true", "false"))
-                or (t.kind == "punct" and t.text == "("))
-
-    def parse_wfatom(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return FInt(int(t.text))
-        if t.kind == "kw" and t.text in ("true", "false"):
-            self.next()
-            return FBool(t.text == "true")
-        if t.kind == "ident":
-            self.next()
-            return FVar(t.text)
-        if t.kind == "uident":
-            self.next()
-            return FConstr(t.text, [])
-        if t.kind == "punct" and t.text == "(":
-            self.next()
-            if self.at("op", "-") and self.at("int", k=1):
-                self.next()
-                lit = self.next()
-                self.expect("punct", ")")
-                return FInt(-int(lit.text))
-            f = self.parse_wformula()
-            if self.at("punct", ","):
-                items = [f]
-                while self.at("punct", ","):
-                    self.next()
-                    items.append(self.parse_wformula())
-                self.expect("punct", ")")
-                return FTuple(items)
-            self.expect("punct", ")")
-            return f
-        self.fail("expected a formula")
+        if t.kind != "uident":
+            return super().parse_fapp()
+        self.next()
+        args = []
+        while self._formula_atom_start():
+            args.append(self.parse_fatom())
+        return FConstr(t.text, args, loc=t.loc)
 
 
 def parse_whyml(text: str) -> WhymlDoc:
@@ -1002,24 +886,14 @@ def s_formula(f) -> str:
         return f.name + " " + " ".join(_s_fatom(a) for a in f.args)
     if isinstance(f, FLogicApp):
         return f.name + " " + " ".join(_s_fatom(a) for a in f.args)
-    if isinstance(f, FArith):
+    if isinstance(f, FBinOp):
+        if f.op in RELATIONS:
+            return f"{_s_fterm(f.left)} {f.op} {_s_fterm(f.right)}"
         return f"({s_formula(f.left)} {f.op} {s_formula(f.right)})"
     if isinstance(f, FTuple):
         return "(" + ", ".join(s_formula(x) for x in f.items) + ")"
-    if isinstance(f, Eq):
-        return f"{_s_fterm(f.left)} = {_s_fterm(f.right)}"
-    if isinstance(f, Lt):
-        return f"{_s_fterm(f.left)} < {_s_fterm(f.right)}"
-    if isinstance(f, Le):
-        return f"{_s_fterm(f.left)} <= {_s_fterm(f.right)}"
-    if isinstance(f, And):
-        return f"({s_formula(f.left)} /\\ {s_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({s_formula(f.left)} \\/ {s_formula(f.right)})"
     if isinstance(f, Not):
         return f"(not {s_formula(f.body)})"
-    if isinstance(f, Implies):
-        return f"({s_formula(f.left)} -> {s_formula(f.right)})"
     if isinstance(f, Forall):
         binders = ", ".join(
             n if t is None else f"{n} : {s_ty(t)}" for n, t in f.binders)

@@ -8,16 +8,17 @@ during lexing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import LexError, Loc, ParseError
 from .syntax import (
-    App, BinOp, BoolLit, Cons, ConstructorApp, Eq, ExprStmt, FArith, FBool,
-    FConstr, FInt, FLogicApp, FTuple, FVar, Forall, If, Implies, IntLit,
-    LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Lt, Le, Match, NilLit, Not,
-    Or, And, PConstr, PCons, PInt, PNil, PTuple, PVar, PWild, PostMeta,
-    Program, Seq, Spec, TArrow, TNamed, TTuple, TrueP, TupleE, TypeDecl,
-    UnitLit, Var, children, normalize_program, BOOL, INT, UNIT,
+    App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp, FBool,
+    FConstr, FInt, FLogicApp, FTuple, FVar, Forall, If, IntLit, LemmaDecl,
+    LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit, Not, PConstr, PCons,
+    PInt, PNil, PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow,
+    TNamed, TTuple, TrueP, TupleE, TypeDecl, UnitLit, Var, children,
+    formula_of_binop, normalize_program, BOOL, INT, UNIT,
 )
 
 KEYWORDS = {
@@ -49,6 +50,7 @@ def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(source)
+    digit_limit = sys.get_int_max_str_digits()  # 0: no limit
 
     def loc():
         return Loc(line, col)
@@ -121,6 +123,10 @@ def tokenize(source: str) -> list[Token]:
             j = i
             while j < n and source[j].isdigit():
                 j += 1
+            if digit_limit and j - i > digit_limit:
+                # `int` could not convert it
+                raise LexError(f"integer literal of {j - i} digits exceeds "
+                               f"the limit of {digit_limit}", here)
             toks.append(Token("int", source[i:j], here))
             advance(j - i)
             continue
@@ -677,21 +683,21 @@ class Parser:
         f = self.parse_for()
         if self.at("op", "->"):
             loc = self.next().loc
-            return Implies(f, self.parse_formula(), loc=loc)
+            return FBinOp("->", f, self.parse_formula(), loc=loc)
         return f
 
     def parse_for(self):
         f = self.parse_fand()
         while self.peek().kind == "op" and self.peek().text in ("||", "\\/"):
             loc = self.next().loc
-            f = Or(f, self.parse_fand(), loc=loc)
+            f = FBinOp("\\/", f, self.parse_fand(), loc=loc)
         return f
 
     def parse_fand(self):
         f = self.parse_fnot()
         while self.peek().kind == "op" and self.peek().text in ("&&", "/\\"):
             loc = self.next().loc
-            f = And(f, self.parse_fnot(), loc=loc)
+            f = FBinOp("/\\", f, self.parse_fnot(), loc=loc)
         return f
 
     def parse_fnot(self):
@@ -709,16 +715,7 @@ class Parser:
         op = self.peek()
         if op.kind == "op" and op.text in ("=", "<", "<=", ">", ">="):
             self.next()
-            rhs = self.parse_fterm()
-            if op.text == "=":
-                return Eq(t, rhs, loc=op.loc)
-            if op.text == "<":
-                return Lt(t, rhs, loc=op.loc)
-            if op.text == "<=":
-                return Le(t, rhs, loc=op.loc)
-            if op.text == ">":
-                return Lt(rhs, t, loc=op.loc)
-            return Le(rhs, t, loc=op.loc)
+            return formula_of_binop(op.text, t, self.parse_fterm(), op.loc)
         if isinstance(t, FBool):
             return TrueP(loc=op.loc) if t.value else Not(TrueP(), loc=op.loc)
         return t
@@ -757,28 +754,26 @@ class Parser:
         f = self.parse_fmul()
         while self.peek().kind == "op" and self.peek().text in ("+", "-"):
             op = self.next()
-            f = FArith(op.text, f, self.parse_fmul(), loc=op.loc)
+            f = FBinOp(op.text, f, self.parse_fmul(), loc=op.loc)
         return f
 
     def parse_fmul(self):
         f = self.parse_fapp()
         while self.peek().kind == "op" and self.peek().text in ("*", "/"):
             op = self.next()
-            f = FArith(op.text, f, self.parse_fapp(), loc=op.loc)
+            f = FBinOp(op.text, f, self.parse_fapp(), loc=op.loc)
         return f
 
     def parse_fapp(self):
         t = self.peek()
         if t.kind == "ident" and t.text != "post":
-            nxt = self.peek(1)
-            if self._is_app_head():
-                self.next()
-                args = []
-                while self._formula_atom_start():
-                    args.append(self.parse_fatom())
-                if args:
-                    return FLogicApp(t.text, args, loc=t.loc)
-                return FVar(t.text, loc=t.loc)
+            self.next()
+            args = []
+            while self._formula_atom_start():
+                args.append(self.parse_fatom())
+            if args:
+                return FLogicApp(t.text, args, loc=t.loc)
+            return FVar(t.text, loc=t.loc)
         if t.kind == "uident":
             self.next()
             args = []
@@ -790,9 +785,6 @@ class Parser:
                 args.append(arg)
             return FConstr(t.text, args, loc=t.loc)
         return self.parse_fatom()
-
-    def _is_app_head(self):
-        return True
 
     def parse_fatom(self):
         t = self.peek()

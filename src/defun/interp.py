@@ -18,12 +18,11 @@ import random
 from .defunc import TargetProgram
 from .errors import Loc
 from .syntax import (
-    Absurd, And, App, BinOp, BoolLit, Cons, ConstructorApp, Eq, ExprStmt,
-    FArith, FBool, FConstr, FInt, FLogicApp, FTuple, FVar, Formula, If,
-    Implies, IntLit, Lambda, LetDef, LetIn, LogicalDecl, Lt, Le, Match,
-    NilLit, Not, Or, PCons, PConstr, PInt, PNil, PTuple, PVar, PWild,
-    Program, Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP, TupleE, Ty,
-    TypeDecl, UnitLit, Var,
+    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
+    FBool, FConstr, FInt, FLogicApp, FTuple, FVar, Formula, If, IntLit,
+    Lambda, LetDef, LetIn, LogicalDecl, Match, NilLit, Not, PCons, PConstr,
+    PInt, PNil, PTuple, PVar, PWild, Program, Seq, TBool, TInt, TNamed,
+    TTuple, TUnit, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var,
 )
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def _render_atom(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
-        return str(x)
+        return _int_text(x)
     if isinstance(x, VConstr):
         return x.name
     if isinstance(x, VUnit):
@@ -151,6 +150,23 @@ def _render_atom(x) -> str:
     if isinstance(x, VClosure):
         return "<fun>"
     raise AssertionError(f"unrenderable value {x!r}")
+
+
+# digits per chunk of `_int_text`: fewer than the least limit (640) the
+# interpreter may set on the digits of an int -> str conversion
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of `n` of any size, rendered in chunks, so that the
+    interpreter's limit on int -> str conversion needs no change."""
+    head, chunks = abs(n), []
+    while head >= _CHUNK:
+        head, low = divmod(head, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(head))
+    return "-" * (n < 0) + "".join(reversed(chunks))
 
 
 def render_value(v) -> str:
@@ -761,8 +777,10 @@ class NotExecutable(Exception):
     pass
 
 
-_RELATIONS = {Eq: "=", Lt: "<", Le: "<="}
-_CONNECTIVES = {And: (False, False), Or: (True, True), Implies: (False, True)}
+# connective -> the value of its left operand that decides it alone, and
+# the value it then has
+_CONNECTIVES = {"/\\": (False, False), "\\/": (True, True),
+                "->": (False, True)}
 
 
 class FormulaEvaluator:
@@ -798,15 +816,14 @@ class FormulaEvaluator:
                     else VConstr(f.name, tuple(args)))
         if cls is Not:
             return not self.eval(f.body, env)
-        if cls in _CONNECTIVES:
-            # the value the left operand decides alone, and when
-            stop, decided = _CONNECTIVES[cls]
+        if cls is not FBinOp:
+            raise NotExecutable(cls.__name__)
+        op = f.op
+        if op in _CONNECTIVES:
+            stop, decided = _CONNECTIVES[op]
             if bool(self.eval(f.left, env)) == stop:
                 return decided
             return bool(self.eval(f.right, env))
-        op = f.op if cls is FArith else _RELATIONS.get(cls)
-        if op is None:
-            raise NotExecutable(cls.__name__)
         left, right = self.eval(f.left, env), self.eval(f.right, env)
         if op == "/":
             if right == 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import TransformError
 from .syntax import (
-    Eq, FLet, FLogicApp, FTuple, FVar, Forall, Formula, Implies, LemmaDecl,
+    FBinOp, FLet, FLogicApp, FTuple, FVar, Forall, Formula, LemmaDecl,
     LetDef, PostMeta, Spec, TArrow, map_children, walk,
 )
 
@@ -86,7 +86,8 @@ def expand_post_meta(f: Formula, resolver) -> Formula:
         v = fresh.fresh()
         step = FLogicApp(fam.post_name, [fn, args[0], FVar(v)], loc=loc)
         rest = expand_pm(FVar(v), inner_ty, args[1:], result, loc)
-        return Forall([(v, inner_fam.kont_ty)], Implies(step, rest), loc=loc)
+        return Forall([(v, inner_fam.kont_ty)], FBinOp("->", step, rest),
+                      loc=loc)
 
     def go(f):
         if type(f) is PostMeta:
@@ -122,8 +123,9 @@ def translate_spec(spec: Spec, d: LetDef, resolver, rewrite_ty) -> tuple[list, l
                            for r, t in zip(spec.result_names, d.ret.items)]
                 out = Forall(
                     binders,
-                    Implies(Eq(FVar("result"),
-                               FTuple([FVar(r) for r, _ in binders])), out),
+                    FBinOp("->", FBinOp("=", FVar("result"),
+                                        FTuple([FVar(r) for r, _ in binders])),
+                           out),
                     loc=spec.loc)
         elif spec.result_names:
             out = subst_formula(out, {spec.result_names[0]: FVar("result")})

@@ -210,8 +210,11 @@ class FLogicApp(Formula):
 
 
 @dataclass
-class FArith(Formula):
-    op: str  # + - * /
+class FBinOp(Formula):
+    """Binary operator, spelled as in WhyML: arithmetic `+ - * /`,
+    relations `= < <=` and connectives `/\\ \\/ ->`."""
+
+    op: str
     left: Formula
     right: Formula
     loc: Optional[Loc] = _meta()
@@ -224,50 +227,8 @@ class FTuple(Formula):
 
 
 @dataclass
-class Eq(Formula):
-    left: Formula
-    right: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Lt(Formula):
-    left: Formula
-    right: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Le(Formula):
-    left: Formula
-    right: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class And(Formula):
-    left: Formula
-    right: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Or(Formula):
-    left: Formula
-    right: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
 class Not(Formula):
     body: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Implies(Formula):
-    left: Formula
-    right: Formula
     loc: Optional[Loc] = _meta()
 
 
@@ -316,6 +277,11 @@ class FMatch(Formula):
     loc: Optional[Loc] = _meta()
 
 
+# The relational formula operators.  They print without parentheses, and
+# their operands are typed together; the other operators are arithmetic
+# or connectives.
+RELATIONS = frozenset({"=", "<", "<="})
+
 FALSE = Not(TrueP())
 
 
@@ -324,7 +290,7 @@ def conj(fs: list) -> Formula:
         return TrueP()
     out = fs[0]
     for f in fs[1:]:
-        out = And(out, f)
+        out = FBinOp("/\\", out, f)
     return out
 
 
@@ -701,6 +667,24 @@ BINOP_RESULT = {
     ">": BOOL,
     ">=": BOOL,
 }
+
+
+# Expression operator -> the formula operator it denotes, and whether the
+# operands swap: formulas have no `>` and `>=`.
+FORMULA_OP = {
+    "+": ("+", False), "-": ("-", False), "*": ("*", False), "/": ("/", False),
+    "=": ("=", False), "<": ("<", False), "<=": ("<=", False),
+    ">": ("<", True), ">=": ("<=", True),
+    "&&": ("/\\", False), "||": ("\\/", False),
+}
+
+
+def formula_of_binop(op: str, left: Formula, right: Formula, loc=None):
+    """`left op right` for an expression operator `op`, as a formula."""
+    fop, swap = FORMULA_OP[op]
+    if swap:
+        left, right = right, left
+    return FBinOp(fop, left, right, loc=loc)
 
 
 def free_vars(e: Expr) -> list[tuple[str, Ty]]:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from .errors import Loc, TypeError_
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, Eq, ExprStmt, FArith,
+    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
     FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, If,
-    Implies, IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Lt, Le,
-    Match, NilLit, Not, Or, And, PCons, PConstr, PInt, PNil, PTuple, PVar,
-    PWild, PostMeta, Program, Seq, Spec, TArrow, TNamed, TTuple, TrueP,
-    TupleE, Ty, TypeDecl, UnitLit, Var, arrow, arrow_args, BOOL, INT, UNIT,
-    int_list, int_tree,
+    IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit, Not,
+    PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, PostMeta, Program,
+    RELATIONS, Seq, Spec, TArrow, TNamed, TTuple, TrueP, TupleE, Ty, TypeDecl,
+    UnitLit, Var, arrow, BOOL, INT, UNIT, int_list, int_tree,
 )
 
 # Builtin data types: lists and trees of integers (the monomorphic subset).
@@ -86,6 +85,15 @@ class TypeEnv:
                 return self.expand(decl.alias, loc)
             return ty
         return ty
+
+
+# arithmetic and connective formula operators -> the types an operand may
+# have, the result type, and what an operand is called in a diagnostic
+_FORMULA_OPERANDS = {
+    **{op: ((INT,), INT, f"operand of {op}") for op in ("+", "-", "*", "/")},
+    **{op: (("prop", BOOL), "prop", "logical operand")
+       for op in ("/\\", "\\/", "->")},
+}
 
 
 def mismatch(expected, found, loc, what="expression"):
@@ -514,35 +522,30 @@ class Checker:
                     raise mismatch(want, got, f.loc, f"argument of {f.name}")
             f.ty = ret
             return ret
-        if isinstance(f, FArith):
-            for side in (f.left, f.right):
-                got = self.formula_type(side, scope)
-                if got != INT:
-                    raise mismatch(INT, got, f.loc, f"operand of {f.op}")
-            return INT
-        if isinstance(f, FTuple):
-            return TTuple(tuple(self.formula_type(x, scope) for x in f.items))
-        if isinstance(f, (Eq, Lt, Le)):
-            lt = self.formula_type(f.left, scope)
-            rt = self.formula_type(f.right, scope)
-            if isinstance(f, (Lt, Le)):
-                if lt != INT or rt != INT:
-                    raise mismatch(INT, lt if lt != INT else rt, f.loc,
-                                   "comparison operand")
-            else:
-                if lt != rt:
+        if isinstance(f, FBinOp):
+            if f.op in RELATIONS:
+                lt = self.formula_type(f.left, scope)
+                rt = self.formula_type(f.right, scope)
+                if f.op != "=":
+                    if lt != INT or rt != INT:
+                        raise mismatch(INT, lt if lt != INT else rt, f.loc,
+                                       "comparison operand")
+                elif lt != rt:
                     raise mismatch(lt, rt, f.loc, "right operand of =")
-                if isinstance(lt, TArrow):
+                elif isinstance(lt, TArrow):
                     raise TypeError_(
                         "mismatch",
                         "equality on function values is not supported", f.loc)
-            return "prop"
-        if isinstance(f, (And, Or, Implies)):
+                return "prop"
+            # each operand is checked before the next is typed
+            allowed, result, what = _FORMULA_OPERANDS[f.op]
             for side in (f.left, f.right):
                 got = self.formula_type(side, scope)
-                if got not in ("prop", BOOL):
-                    raise mismatch("prop", got, f.loc, "logical operand")
-            return "prop"
+                if got not in allowed:
+                    raise mismatch(allowed[0], got, f.loc, what)
+            return result
+        if isinstance(f, FTuple):
+            return TTuple(tuple(self.formula_type(x, scope) for x in f.items))
         if isinstance(f, Not):
             got = self.formula_type(f.body, scope)
             if got not in ("prop", BOOL):

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from .defunc import PredDef, TargetProgram
 from .errors import VCError
 from .syntax import (
-    Absurd, And, App, BinOp, BoolLit, Cons, ConstructorApp, Eq, ExprStmt,
-    FArith, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, FVar,
-    Forall, Formula, If, Implies, IntLit, LemmaDecl, LetDef, LetIn, Lambda,
-    Lt, Le, Match, NilLit, Not, Or, PCons, PConstr, PInt, PNil, PTuple, PVar,
-    PWild, Program, Seq, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
-    TupleE, Ty, UnitLit, Var, conj, FALSE, INT, BOOL, UNIT,
+    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, FBinOp, FBool, FConstr,
+    FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, Formula, If, IntLit,
+    LetDef, LetIn, Lambda, Match, NilLit, Not, PCons, PConstr, PInt, PNil,
+    PTuple, PVar, PWild, Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
+    TupleE, Ty, UnitLit, Var, conj, formula_of_binop, FALSE, INT,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,7 +68,7 @@ def pattern_cond(pat, scrut: Formula):
             binds[pat.name] = term
             return
         if isinstance(pat, PInt):
-            conds.append(Eq(term, FInt(pat.value)))
+            conds.append(FBinOp("=", term, FInt(pat.value)))
             return
         if isinstance(pat, PNil):
             conds.append(tester("Nil", term))
@@ -158,26 +157,9 @@ class VCGen:
             return self.wp_many(
                 e.items, lambda ts: C(FTuple(ts)), env, ctx, sink)
         if isinstance(e, BinOp):
-            def mk(ts):
-                a, b = ts
-                if e.op in ("+", "-", "*", "/"):
-                    return C(FArith(e.op, a, b))
-                if e.op == "=":
-                    return C(Eq(a, b))
-                if e.op == "<":
-                    return C(Lt(a, b))
-                if e.op == "<=":
-                    return C(Le(a, b))
-                if e.op == ">":
-                    return C(Lt(b, a))
-                if e.op == ">=":
-                    return C(Le(b, a))
-                if e.op == "&&":
-                    return C(And(a, b))
-                if e.op == "||":
-                    return C(Or(a, b))
-                raise AssertionError(e.op)
-            return self.wp_many([e.left, e.right], mk, env, ctx, sink)
+            return self.wp_many(
+                [e.left, e.right],
+                lambda ts: C(formula_of_binop(e.op, *ts)), env, ctx, sink)
         if isinstance(e, Seq):
             return self.wp(e.first,
                            lambda _t: self.wp(e.second, C, env, ctx, sink),
@@ -199,7 +181,8 @@ class VCGen:
                 binders, hyps = ctx
                 then = self.wp(e.then, C, env, (binders, hyps + [c]), sink)
                 els = self.wp(e.els, C, env, (binders, hyps + [Not(c)]), sink)
-                return And(Implies(c, then), Implies(Not(c), els))
+                return FBinOp("/\\", FBinOp("->", c, then),
+                              FBinOp("->", Not(c), els))
             return self.wp(e.cond, split, env, ctx, sink)
         if isinstance(e, Match):
             def split(s):
@@ -245,7 +228,7 @@ class VCGen:
                            ("", e.loc, "absurd-unreachable"), sink)
                 continue
             inner = self.wp(body, C, env2, (binders, hyps + path), sink)
-            parts.append(Implies(conj(path), inner) if path else inner)
+            parts.append(FBinOp("->", conj(path), inner) if path else inner)
         return conj(parts)
 
     def wp_join(self, ty, branches, C, ctx, sink):
@@ -259,10 +242,10 @@ class VCGen:
         for path, body, env in branches:
             # "body can yield j" = not (every outcome t of body differs
             # from j); for a call-free body this is just j = t
-            w = self.wp(body, lambda t: Not(Eq(j, t)), env,
+            w = self.wp(body, lambda t: Not(FBinOp("=", j, t)), env,
                         (binders, hyps + path), sink)
             fact = w.body if isinstance(w, Not) else Not(w)
-            facts.append(Implies(conj(path), fact) if path else fact)
+            facts.append(FBinOp("->", conj(path), fact) if path else fact)
         fact = conj(facts)
         self._extra_binders.append((j.name, ty))
         self._extra_hyps.append(fact)
@@ -271,7 +254,7 @@ class VCGen:
         finally:
             self._extra_binders.pop()
             self._extra_hyps.pop()
-        return Forall([(j.name, ty)], Implies(fact, inner))
+        return Forall([(j.name, ty)], FBinOp("->", fact, inner))
 
     def wp_call(self, head: Var, args, C, ctx, sink):
         d = self.defs.get(head.name)
@@ -296,7 +279,7 @@ class VCGen:
         finally:
             self._extra_binders.pop()
             del self._extra_hyps[mark:]
-        return Forall([(res, d.ret)], Implies(conj(ensures), inner))
+        return Forall([(res, d.ret)], FBinOp("->", conj(ensures), inner))
 
     # -- per-definition VCs ------------------------------------------------
 
@@ -611,11 +594,9 @@ class SmtEmitter:
             return (f"(mk-tup{n} "
                     + " ".join(self.expr(x, env) for x in e.items) + ")")
         if isinstance(e, BinOp):
-            op = {"=": "=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-                  "+": "+", "-": "-", "*": "*", "/": TRUNC_DIV,
-                  "&&": "and", "||": "or"}[e.op]
             self.need_div |= e.op == "/"
-            return f"({op} {self.expr(e.left, env)} {self.expr(e.right, env)})"
+            return (f"({SMT_OPS[e.op]} {self.expr(e.left, env)} "
+                    f"{self.expr(e.right, env)})")
         if isinstance(e, Seq):
             return self.expr(e.second, env)
         if isinstance(e, LetIn):
@@ -687,38 +668,17 @@ class SmtEmitter:
                 return f"({sel} {self.formula(f.args[0], env)})"
             return ("(" + f.name + " "
                     + " ".join(self.formula(a, env) for a in f.args) + ")")
-        if isinstance(f, FArith):
-            op = f.op
-            if op == "/":
-                op = TRUNC_DIV
-                self.need_div = True
-            return (f"({op} {self.formula(f.left, env)} "
+        if isinstance(f, FBinOp):
+            self.need_div |= f.op == "/"
+            return (f"({SMT_OPS[f.op]} {self.formula(f.left, env)} "
                     f"{self.formula(f.right, env)})")
         if isinstance(f, FTuple):
             n = len(f.items)
             self.tuple_sorts.setdefault(n, f"Tup{n}")
             return (f"(mk-tup{n} "
                     + " ".join(self.formula(x, env) for x in f.items) + ")")
-        if isinstance(f, Eq):
-            return (f"(= {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
-        if isinstance(f, Lt):
-            return (f"(< {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
-        if isinstance(f, Le):
-            return (f"(<= {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
-        if isinstance(f, And):
-            return (f"(and {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
-        if isinstance(f, Or):
-            return (f"(or {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
         if isinstance(f, Not):
             return f"(not {self.formula(f.body, env)})"
-        if isinstance(f, Implies):
-            return (f"(=> {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
         if isinstance(f, Forall):
             binders = " ".join(
                 f"({n} {self.sort(t)})" for n, t in f.binders)
@@ -769,6 +729,13 @@ class SmtEmitter:
 TRUNC_DIV = "div-trunc"
 TRUNC_DIV_DEF = (f"(define-fun {TRUNC_DIV} ((a Int) (b Int)) Int "
                  "(ite (>= a 0) (div a b) (- (div (- a) b))))")
+
+# SMT-LIB spelling of the expression and formula binary operators
+SMT_OPS = {
+    "+": "+", "-": "-", "*": "*", "/": TRUNC_DIV,
+    "=": "=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "&&": "and", "||": "or", "/\\": "and", "\\/": "or", "->": "=>",
+}
 
 
 def _flat(sort: str) -> str:

@@ -16,7 +16,7 @@ from defun.frontend import parse_formula, parse_program
 from defun.interp import equiv_check, eval_fo, render_value, vlist
 from defun.specs import expand_post_meta
 from defun.syntax import (
-    Eq, FConstr, FLogicApp, Forall, FVar, Implies, TArrow, TNamed, INT,
+    FBinOp, FConstr, FLogicApp, Forall, FVar, TArrow, TNamed, INT,
 )
 from defun.typecheck import Checker
 from defun.vcgen import emit_smt, generate_vcs, run_solver, solver_command
@@ -382,8 +382,8 @@ class TestAcceptance:
                          if f.arrow_ty == TArrow(INT, INT))
             pred = next(p for p in t.post_defs if p.name == outer.post_name)
             (_, formula), = pred.arms
-            assert formula.body == Eq(
-                FVar(pred.result_param),
+            assert formula.body == FBinOp(
+                "=", FVar(pred.result_param),
                 FConstr(inner.sites[0].ctor_name,
                         [FVar("y"), FVar("x")]))
 
@@ -400,7 +400,8 @@ class TestAcceptance:
                 lambda ty, loc=None: fams[ty])
             assert out == Forall(
                 [("var0", TNamed("kont1"))],
-                Implies(
+                FBinOp(
+                    "->",
                     FLogicApp("post2",
                               [FVar("g"), FVar("x"), FVar("var0")]),
                     FLogicApp("post1",

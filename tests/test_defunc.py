@@ -7,8 +7,8 @@ from defun.defunc import (
 from defun.errors import TransformError
 from defun.frontend import parse_program
 from defun.syntax import (
-    Absurd, ConstructorApp, Eq, FConstr, FVar, LetDef, Match, PWild, TArrow,
-    TNamed, INT,
+    Absurd, ConstructorApp, FBinOp, FConstr, FVar, LetDef, Match, PWild,
+    TArrow, TNamed, INT,
 )
 from defun.typecheck import Checker
 
@@ -82,8 +82,8 @@ class TestCaptureOrder:
         pred = next(p for p in t.post_defs if p.name == outer_fam.post_name)
         (pat, formula), = pred.arms
         inner_ctor = inner_fam.sites[0].ctor_name
-        assert formula.body == Eq(
-            FVar(pred.result_param),
+        assert formula.body == FBinOp(
+            "=", FVar(pred.result_param),
             FConstr(inner_ctor, [FVar("y"), FVar("x")]))
 
 

@@ -2,10 +2,13 @@ import re
 
 import pytest
 
-from defun.emit import emit_surface, emit_whyml, parse_whyml, render_doc
-from defun.frontend import parse_program
+from defun.emit import (
+    emit_surface, emit_whyml, parse_whyml, render_doc, s_formula,
+)
+from defun.frontend import parse_formula, parse_program
 
 from conftest import CORPUS_FILES, GOLDEN, corpus_text, pipeline
+from genprog import gen_program
 
 
 class TestGolden:
@@ -56,6 +59,45 @@ class TestWhymlRoundTrip:
         text = emit_whyml(t)
         doc = parse_whyml(text)
         assert render_doc(doc) == text
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_generated_program_fixed_point(self, seed):
+        text = emit_whyml(pipeline(gen_program(seed))[2])
+        assert render_doc(parse_whyml(text)) == text
+
+
+# every binary formula operator, and each pair of them whose precedence or
+# associativity decides the tree
+FORMULAS = [
+    "a - b - c = 0",
+    "a + b * c < d / 2",
+    "a > b -> b >= c -> c <= a",
+    "a = 1 \\/ b = 2 /\\ c = 3",
+    "not a = b /\\ c < d",
+    "forall x y : int. x < y -> a + x < a + y",
+    "(c + -3) = d",
+    "true",
+    "a = b || c = d && e < f",
+]
+
+
+class TestSharedFormulaGrammar:
+    """The WhyML reader parses formulas with the frontend's grammar."""
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_surface_fixed_point(self, text):
+        f = parse_formula(text)
+        assert parse_formula(s_formula(f)) == f
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_whyml_lemma_reads_back(self, text):
+        src = f"(*@ lemma l : forall a b c d e f : int. {text} *)\n"
+        t = pipeline(src)[2]
+        whyml = emit_whyml(t)
+        doc = parse_whyml(whyml)
+        (lemma,) = [item for kind, item in doc.items if kind == "lemma"]
+        assert lemma.formula == t.lemmas[0].formula
+        assert render_doc(doc) == whyml
 
 
 class TestSurfaceRoundTrip:

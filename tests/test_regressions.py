@@ -8,6 +8,7 @@ from defun import frontend
 from defun.cli import main
 from defun.errors import ParseError
 from defun.frontend import parse_program
+from defun.interp import render_value, vlist
 from defun.vcgen import run_solver
 
 
@@ -103,3 +104,47 @@ class TestSolverCommand:
         monkeypatch.setenv("DEFUN_SMT_SOLVER", cmd + placeholder)
         want = str(goal) if expected == "FILE" else expected
         assert run_solver(str(goal)) == want
+
+
+POW = ("let rec pow (n : int) : int =\n"
+       "  if n <= 0 then 1 else 10 * pow (n - 1)\n")
+
+
+class TestBigIntegers:
+    def test_run_prints_more_digits_than_str_allows(self, mlg, capsys):
+        assert main(["run", mlg(POW), "--entry", "pow", "--arg", "5000"]) == 0
+        assert capsys.readouterr().out == "1" + "0" * 5000 + "\n"
+
+    def test_render_keeps_digits_and_sign(self):
+        digits = "123456789" * 700  # 6,300 digits
+        n = 0
+        for i in range(0, len(digits), 100):
+            n = n * 10**100 + int(digits[i:i + 100])
+        assert render_value(n) == digits
+        assert render_value(-n) == "-" + digits
+        assert render_value(vlist([-(10**5000 + 7)])) == (
+            "[-1" + "0" * 4999 + "7]")
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < sys.get_int_max_str_digits() < 5000,
+    reason="the interpreter converts 5,000-digit integers")
+
+
+@needs_digit_limit
+class TestLongIntegerLiterals:
+    DIGITS = "9" * 5000
+
+    def test_check_locates_the_literal(self, mlg, capsys):
+        path = mlg(f"let f (x : int) : int = x + {self.DIGITS}\n")
+        assert main(["check", path]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: 1:29: integer literal of 5000 digits "
+                        r"exceeds the limit of \d+", err), err
+
+    def test_run_argument_is_located(self, mlg, capsys):
+        path = mlg("let f (x : int) : int = x\n")
+        assert main(["run", path, "--entry", "f", "--arg", self.DIGITS]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: 1:1: integer literal of 5000 digits",
+                        err), err

@@ -7,7 +7,7 @@ from defun.specs import (
     translate_spec,
 )
 from defun.syntax import (
-    Eq, FLogicApp, FVar, Forall, Implies, TArrow, TNamed, INT,
+    FBinOp, FLogicApp, FVar, Forall, TArrow, TNamed, INT,
 )
 
 from conftest import corpus_text, pipeline
@@ -67,8 +67,9 @@ class TestExpandPostMeta:
         out = expand_post_meta(f, resolve)
         expected = Forall(
             [("var0", TNamed("kont1"))],
-            Implies(FLogicApp("post2", [FVar("g"), FVar("x"), FVar("var0")]),
-                    FLogicApp("post1", [FVar("var0"), FVar("y"), FVar("r")])))
+            FBinOp("->",
+                   FLogicApp("post2", [FVar("g"), FVar("x"), FVar("var0")]),
+                   FLogicApp("post1", [FVar("var0"), FVar("y"), FVar("r")])))
         assert out == expected
 
     def test_fresh_variable_avoids_collision(self):
@@ -97,7 +98,7 @@ class TestTranslateSpec:
         d = self.build("let f (a : int) : int = a\n(*@ r = f x ensures r = x *)")
         requires, ensures = translate_spec(
             d.spec, d, resolver_for({}), lambda t, loc=None: t)
-        assert ensures == [Eq(FVar("result"), FVar("a"))]
+        assert ensures == [FBinOp("=", FVar("result"), FVar("a"))]
 
     def test_multi_result_projection(self):
         d = self.build(
@@ -108,7 +109,7 @@ class TestTranslateSpec:
         out = ensures[0]
         assert isinstance(out, Forall)
         assert [n for n, _ in out.binders] == ["u", "v"]
-        assert isinstance(out.body, Implies)
+        assert out.body.op == "->"
 
     def test_header_arity_mismatch(self):
         d = self.build("let f (a : int) : int = a")

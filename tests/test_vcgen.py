@@ -10,8 +10,8 @@ import pytest
 
 from defun.interp import VConstr, eval_ho
 from defun.syntax import (
-    And, Eq, FArith, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple,
-    Forall, FVar, Implies, Le, Lt, Not, Or, TrueP, TBool, TInt, TNamed,
+    FBinOp, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, Forall,
+    FVar, Not, TrueP, TBool, TInt, TNamed,
 )
 from defun.vcgen import (
     SmtEmitter, emit_smt, generate_vcs, pattern_cond, run_solver,
@@ -306,7 +306,7 @@ class Evaluator:
             return VConstr(f.name, tuple(self.ev(a, env) for a in f.args))
         if isinstance(f, FTuple):
             return tuple(self.ev(x, env) for x in f.items)
-        if isinstance(f, FArith):
+        if isinstance(f, FBinOp) and f.op in ("+", "-", "*", "/"):
             a, b = self.ev(f.left, env), self.ev(f.right, env)
             if f.op == "+":
                 return a + b
@@ -316,19 +316,19 @@ class Evaluator:
                 return a * b
             q = abs(a) // abs(b)
             return q if (a >= 0) == (b >= 0) else -q
-        if isinstance(f, Eq):
+        if isinstance(f, FBinOp) and f.op == "=":
             return self.ev(f.left, env) == self.ev(f.right, env)
-        if isinstance(f, Lt):
+        if isinstance(f, FBinOp) and f.op == "<":
             return self.ev(f.left, env) < self.ev(f.right, env)
-        if isinstance(f, Le):
+        if isinstance(f, FBinOp) and f.op == "<=":
             return self.ev(f.left, env) <= self.ev(f.right, env)
-        if isinstance(f, And):
+        if isinstance(f, FBinOp) and f.op == "/\\":
             return self.ev(f.left, env) and self.ev(f.right, env)
-        if isinstance(f, Or):
+        if isinstance(f, FBinOp) and f.op == "\\/":
             return self.ev(f.left, env) or self.ev(f.right, env)
         if isinstance(f, Not):
             return not self.ev(f.body, env)
-        if isinstance(f, Implies):
+        if isinstance(f, FBinOp) and f.op == "->":
             return (not self.ev(f.left, env)) or self.ev(f.right, env)
         if isinstance(f, FLet):
             return self.ev(f.body, {**env, f.name: self.ev(f.value, env)})
@@ -385,7 +385,7 @@ class TestEnumerationSoundness:
         ev = Evaluator(t)
         for vc in generate_vcs(t):
             closed = Forall(vc.binders,
-                            Implies(conj(vc.hypotheses), vc.goal))
+                            FBinOp("->", conj(vc.hypotheses), vc.goal))
             assert ev.ev(closed, {}), f"{vc.name} falsified by enumeration"
 
     def test_enumeration_catches_a_wrong_goal(self, corpus_targets):
@@ -393,7 +393,7 @@ class TestEnumerationSoundness:
         ev = Evaluator(t)
         vc = generate_vcs(t)[0]
         broken = Forall(vc.binders,
-                        Implies(conj(vc.hypotheses), Not(vc.goal)))
+                        FBinOp("->", conj(vc.hypotheses), Not(vc.goal)))
         assert not ev.ev(broken, {})
 
 
@@ -430,7 +430,7 @@ def vcs_of(text: str):
 
 
 def valid(t, vc, ints=WIDE) -> bool:
-    closed = Forall(vc.binders, Implies(conj(vc.hypotheses), vc.goal))
+    closed = Forall(vc.binders, FBinOp("->", conj(vc.hypotheses), vc.goal))
     return Evaluator(t, ints).ev(closed, {})
 
 
@@ -520,7 +520,7 @@ let f (a : int) (b : int) : int =
 def conj(fs):
     out = TrueP()
     for f in fs:
-        out = And(out, f)
+        out = FBinOp("/\\", out, f)
     return out
 
 
