@@ -205,9 +205,10 @@ def w_expr(e, indent: int = 0) -> str:
 
 
 def _w_operand(e, indent) -> str:
-    # an `if` or `let` reaches as far right as it can, so it is enclosed
+    # an `if`, `let` or `match` reaches as far right as it can, so it is
+    # enclosed
     s = w_expr(e, indent)
-    return f"({s})" if isinstance(e, (If, LetIn)) else s
+    return f"({s})" if isinstance(e, (If, LetIn, Match)) else s
 
 
 def _w_atom(e, indent) -> str:

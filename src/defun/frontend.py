@@ -8,6 +8,7 @@ during lexing.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +36,26 @@ OPERATORS = [
 
 PUNCT = ["(", ")", "[", "]", "{", "}", ",", ".", "|", "_"]
 
+# One alternative per kind of lexeme, tried in this order at each offset
+# (the recipe "Writing a Tokenizer" of the `re` documentation).  Integer
+# literals are what `int` reads (`\d` is `str.isdecimal`); a word starts
+# with a letter or `_`, checked in `tokenize`, as `[^\W\d]` also admits
+# non-decimal digits such as `²`.
+MASTER = re.compile("|".join([
+    r"(?P<ws>[ \t\r\n]+)",
+    r"(?P<specopen>\(\*@)",
+    r"(?P<comment>\(\*)",
+    r"(?P<specclose>\*\))",
+    r"(?P<attropen>\[@gospel[ \t\r\n]*\{\|)",
+    r"(?P<badattr>\[@gospel)",
+    r"(?P<attrclose>\|\}\])",
+    r"(?P<int>\d+)",
+    r"(?P<word>[^\W\d][\w']*)",
+    "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCT)) + ")",
+]))
+COMMENT_DELIM = re.compile(r"\(\*|\*\)")
+
 
 @dataclass
 class Token:
@@ -48,119 +69,63 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
+    i, n = 0, len(source)
+    line, bol = 1, 0  # the current line, and the offset where it begins
     digit_limit = sys.get_int_max_str_digits()  # 0: no limit
-
-    def loc():
-        return Loc(line, col)
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def skip_comment():
-        # positioned just after an opening `(*`; nested comments allowed
-        nonlocal i
-        depth = 1
-        start = loc()
-        while i < n:
-            if source.startswith("(*", i):
-                depth += 1
-                advance(2)
-            elif source.startswith("*)", i):
-                depth -= 1
-                advance(2)
-                if depth == 0:
-                    return
-            else:
-                advance(1)
-        raise LexError("unterminated comment", start)
-
     in_spec = False
     while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+        m = MASTER.match(source, i)
+        if m is None:
+            raise LexError(f"illegal character {source[i]!r}",
+                           Loc(line, i - bol + 1))
+        kind, j = m.lastgroup, m.end()
+        if kind in ("ws", "comment", "attropen"):  # may span lines
+            if kind == "comment":  # nested comments allowed
+                depth = 1
+                while depth:
+                    d = COMMENT_DELIM.search(source, j)
+                    if d is None:
+                        raise LexError("unterminated comment",
+                                       Loc(line, m.end() - bol + 1))
+                    depth += 1 if d.group() == "(*" else -1
+                    j = d.end()
+            elif kind == "attropen":
+                toks.append(Token(kind, "[@gospel {|", Loc(line, i - bol + 1)))
+            newlines = source.count("\n", i, j)
+            if newlines:
+                line += newlines
+                bol = source.rindex("\n", i, j) + 1
+            i = j
             continue
-        here = loc()
-        if source.startswith("(*@", i):
-            toks.append(Token("specopen", "(*@", here))
-            advance(3)
-            in_spec = True
-            continue
-        if source.startswith("(*", i):
-            advance(2)
-            skip_comment()
-            continue
-        if source.startswith("*)", i):
-            if not in_spec:
-                raise LexError("unmatched comment terminator", here)
-            toks.append(Token("specclose", "*)", here))
-            advance(2)
-            in_spec = False
-            continue
-        if source.startswith("[@gospel", i):
-            j = i + len("[@gospel")
-            while j < n and source[j] in " \t\r\n":
-                j += 1
-            if not source.startswith("{|", j):
-                raise LexError("malformed gospel attribute", here)
-            toks.append(Token("attropen", "[@gospel {|", here))
-            advance(j + 2 - i)
-            continue
-        if source.startswith("|}]", i):
-            toks.append(Token("attrclose", "|}]", here))
-            advance(3)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
+        text, here = m.group(), Loc(line, i - bol + 1)
+        if kind == "word":
+            c = text[0]
+            if not (c.isalpha() or c == "_"):
+                raise LexError(f"illegal character {c!r}", here)
+            if "'" in text:
+                raise LexError(f"type variables are not supported: {text!r}",
+                               here)
+            kind = ("punct" if text == "_" else "kw" if text in KEYWORDS
+                    else "uident" if c.isupper() else "ident")
+        elif kind == "int":
             if digit_limit and j - i > digit_limit:
                 # `int` could not convert it
                 raise LexError(f"integer literal of {j - i} digits exceeds "
                                f"the limit of {digit_limit}", here)
-            toks.append(Token("int", source[i:j], here))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            word = source[i:j]
-            if "'" in word:
-                raise LexError(f"type variables are not supported: {word!r}", here)
-            if word == "_":
-                toks.append(Token("punct", "_", here))
-            elif word in KEYWORDS:
-                toks.append(Token("kw", word, here))
-            elif word[0].isupper():
-                toks.append(Token("uident", word, here))
-            else:
-                toks.append(Token("ident", word, here))
-            advance(j - i)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                toks.append(Token("op", op, here))
-                advance(len(op))
-                break
-        else:
-            if c in PUNCT:
-                toks.append(Token("punct", c, here))
-                advance(1)
-            else:
-                raise LexError(f"illegal character {c!r}", here)
+        elif kind == "specopen":
+            in_spec = True
+        elif kind == "specclose":
+            if not in_spec:
+                raise LexError("unmatched comment terminator", here)
+            in_spec = False
+        elif kind == "badattr":
+            raise LexError("malformed gospel attribute", here)
+        toks.append(Token(kind, text, here))
+        i = j
     if in_spec:
-        raise LexError("unterminated specification comment", loc())
-    toks.append(Token("eof", "", loc()))
+        raise LexError("unterminated specification comment",
+                       Loc(line, n - bol + 1))
+    toks.append(Token("eof", "", Loc(line, n - bol + 1)))
     return toks
 
 
@@ -177,26 +142,33 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
+    # The tokens end in `eof`, which `next` never steps past, so only a
+    # lookahead can run off the end.
+
     def peek(self, k=0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        if k and self.pos + k >= len(self.toks):
+            return self.toks[-1]
+        return self.toks[self.pos + k]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at(self, kind, text=None, k=0) -> bool:
-        t = self.peek(k)
+        t = self.peek(k) if k else self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def expect(self, kind, text=None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
+        t = self.toks[self.pos]
+        if t.kind != kind or text is not None and t.text != text:
             want = text if text is not None else kind
             raise ParseError(f"expected {want!r}, found {t.text!r}", t.loc,
                              expected={want}, found=t.text)
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def fail(self, msg):
         t = self.peek()

@@ -60,6 +60,14 @@ class TestWhymlRoundTrip:
         doc = parse_whyml(text)
         assert render_doc(doc) == text
 
+    @pytest.mark.parametrize("body", [
+        "(match x with | 0 -> 1 | _ -> 2 end) + 1",
+        "1 + (match x with | 0 -> 1 | _ -> 2 end)",
+    ])
+    def test_match_operand_fixed_point(self, body):
+        text = emit_whyml(pipeline(f"let f (x : int) : int = {body}")[2])
+        assert render_doc(parse_whyml(text)) == text
+
     @pytest.mark.parametrize("seed", range(200))
     def test_generated_program_fixed_point(self, seed):
         text = emit_whyml(pipeline(gen_program(seed))[2])

@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defun.errors import LexError, ParseError
-from defun.frontend import parse_expr, parse_formula, parse_program
+from defun.frontend import parse_expr, parse_formula, parse_program, tokenize
 from defun.syntax import (
     App, BinOp, Cons, ConstructorApp, FConstr, FLogicApp, FVar, Forall,
     IntLit, Lambda, LemmaDecl, LetDef, LetIn, Match, Not, PConstr, PTuple,
     PostMeta, Seq, TArrow, TupleE, TypeDecl, Var,
     INT, BOOL,
 )
+
+from conftest import CORPUS_FILES, corpus_text
+from genprog import gen_program
 
 
 class TestLexer:
@@ -23,6 +27,71 @@ class TestLexer:
         p = parse_program(
             "let f (x : int) : int = x\n(*@ r = f x ensures r = x *)")
         assert p.items[0].spec is not None
+
+    @pytest.mark.parametrize("source, where, message", [
+        ("let x = 1\n  (* abc", "2:5", "unterminated comment"),
+        ("a *) b", "1:3", "unmatched comment terminator"),
+        ("(*@ ensures x", "1:14", "unterminated specification comment"),
+        ("f [@gospel x", "1:3", "malformed gospel attribute"),
+        ("x $ y", "1:3", "illegal character '$'"),
+        ("x'", "1:1", "type variables are not supported: \"x'\""),
+        ("x + ²", "1:5", "illegal character '²'"),  # `int` cannot read it
+    ])
+    def test_error_message_and_location(self, source, where, message):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert str(exc.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("source, expected", [
+        ("f [@gospel\n  {| ensures r |}] x",
+         "ident f 1:1, attropen 1:3, kw ensures 2:6, ident r 2:14, "
+         "attrclose |}] 2:16, ident x 2:20, eof 2:21"),
+        ("let x = 1\r\n\tlet y",
+         "kw let 1:1, ident x 1:5, op = 1:7, int 1 1:9, kw let 2:2, "
+         "ident y 2:6, eof 2:7"),
+        ("(* (*@ *) *) y", "ident y 1:14, eof 1:15"),
+        ("a\n(* \n *)  b", "ident a 1:1, ident b 3:6, eof 3:7"),
+        ("x² ٣", "ident x² 1:1, int ٣ 1:4, eof 1:5"),
+    ])
+    def test_token_locations(self, source, expected):
+        assert ", ".join(
+            f"{t.kind} {t.text} {t.loc}" if t.kind not in ("attropen", "eof")
+            else f"{t.kind} {t.loc}" for t in tokenize(source)) == expected
+
+
+def assert_token_locations(source):
+    """Every token's text stands in the source at its location, and the
+    locations strictly increase."""
+    lines = source.split("\n")
+    prev = None
+    for t in tokenize(source):
+        here = (t.loc.line, t.loc.col)
+        assert prev is None or here > prev, (t, prev)
+        prev = here
+        if t.kind not in ("attropen", "eof"):
+            line = lines[t.loc.line - 1]
+            assert line.startswith(t.text, t.loc.col - 1), (t, line)
+
+
+FRAGMENTS = ["let", "x", "Cons", "42", "x²", "٣", "(*@ ensures\r\n r *)", "(* c *)",
+             "(* a\n (* b *) *)", "[@gospel {|", "[@gospel\r\n {|", "|}]",
+             "->", "::", ";;", "/\\", "(", ")", "_", "|", "-3", " ", "\t",
+             "\n", "\r\n"]
+
+
+class TestTokenLocations:
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_corpus(self, name):
+        assert_token_locations(corpus_text(name))
+
+    def test_generated_programs(self):
+        for seed in range(200):
+            assert_token_locations(gen_program(seed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=40))
+    def test_joined_fragments(self, parts):
+        assert_token_locations("".join(parts))
 
 
 class TestExpressions:

@@ -11,6 +11,8 @@ from defun.frontend import parse_program
 from defun.interp import render_value, vlist
 from defun.vcgen import run_solver
 
+from conftest import CORPUS
+
 
 @pytest.fixture
 def mlg(tmp_path):
@@ -148,3 +150,20 @@ class TestLongIntegerLiterals:
         err = capsys.readouterr().err
         assert re.match(r"error: 1:1: integer literal of 5000 digits",
                         err), err
+
+
+class TestUnicodeDigits:
+    """`str.isdigit` accepts `²`, `int` does not: the lexer reads only
+    decimal digits, so `²` is a located illegal character."""
+
+    def test_check_locates_the_character(self, mlg, capsys):
+        path = mlg("let f (x : int) : int = x + ²\n")
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: 1:29: illegal character '²'\n")
+
+    def test_run_argument_is_located(self, capsys):
+        assert main(["run", str(CORPUS / "length.mlg"), "--entry", "len",
+                     "--arg", "[1;²]"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 1:4: illegal character '²'\n")
