@@ -79,6 +79,8 @@ class TargetProgram:
     families: list  # KontFamily
     prelude: list  # LogicalDecl (carried through)
     bypassed: set = field(default_factory=set)
+    # every identifier in use: the source program's and the generated ones
+    names: set = field(default_factory=set)
 
 
 @dataclass
@@ -319,7 +321,8 @@ class Defunctionalizer:
             source_types=source_types, kont_decls=kont_decls,
             post_defs=post_defs, apply_defs=apply_defs, items=items,
             lemmas=lemmas, families=self.families,
-            prelude=list(self.program.prelude), bypassed=self.bypass_set())
+            prelude=list(self.program.prelude), bypassed=self.bypass_set(),
+            names=self.taken)
 
     def rewrite_formula_tys(self, f: Formula) -> Formula:
         """Rewrite arrow types in quantifier binders (and nothing else)."""

@@ -167,6 +167,11 @@ class Checker:
 
     def check_letdef(self, d: LetDef, toplevel: bool):
         loc = d.loc
+        if toplevel and d.name in self.env.logicals:
+            # program functions and logical symbols share one namespace in
+            # the SMT encoding
+            raise TypeError_("mismatch",
+                             f"logical symbol {d.name!r} redeclared", loc)
         for n, t in d.params:
             if t is None:
                 raise TypeError_("annotation-missing",

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import os
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
-from .defunc import PredDef, TargetProgram
+from .defunc import TargetProgram
 from .errors import VCError
 from .syntax import (
     Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, FBinOp, FBool, FConstr,
@@ -126,7 +127,10 @@ class VCGen:
                     list(hyps) + list(self._extra_hyps), goal, origin))
 
     def fresh(self, base: str) -> str:
+        """A binder name that captures no name of the program."""
         n = self._counters.get(base, 0)
+        while f"{base}{n}" in self.t.names:
+            n += 1
         self._counters[base] = n + 1
         return f"{base}{n}"
 
@@ -374,30 +378,150 @@ def generate_vcs(t: TargetProgram) -> list[VC]:
 # SMT-LIB2 emission
 
 
-class SmtEmitter:
-    def __init__(self, t: TargetProgram):
-        self.t = t
-        self.tuple_sorts: dict[int, str] = {}
-        self.need_unit = False
-        self.need_list = False
-        self.need_tree = False
-        self.datatypes: list = []  # (sort, [(ctor, [(sel, sort)])])
-        self.need_div = False
-        self._absurds = set()
-        self._scan()
-        # the definitions depend on the program only: render them once,
-        # and keep the sorts they register as every VC's starting point
-        self.preamble = (self.builtin_defs() + self.logical_defs()
-                         + self.post_defs() + self.fn_defs())
-        self._program_sorts = (dict(self.tuple_sorts), self.need_unit,
-                               self.need_list, self.need_tree, self.need_div,
-                               set(self._absurds))
+class _Unit:
+    """One program-level declaration of an SMT file: a whole command
+    (`head` is None and `text` a string), or one member of a `head` block
+    (`text` is its (signature, body) pair).  `key` is (section, position)
+    and orders units in a file; `mentions` are the symbols its text refers
+    to.  `render()` computes the text, the first time a file needs it."""
 
-    def _reset_sorts(self):
-        (tuples, self.need_unit, self.need_list, self.need_tree,
-         self.need_div, absurds) = self._program_sorts
-        self.tuple_sorts = dict(tuples)
-        self._absurds = set(absurds)
+    __slots__ = ("key", "head", "render", "text", "mentions")
+
+    def __init__(self, key, head, render=None, text=None, mentions=None):
+        self.key, self.head, self.render = key, head, render
+        self.text, self.mentions = text, mentions
+
+
+# the sections of a file, in order; units of one block share a section
+(UNIT_SORT, DATATYPES, TUPLES, ABSURDS, DIV, BUILTINS, LOGICAL_DECLS,
+ LOGICAL_DEFS, POST_DEFS, SPEC_DECLS, SPECLESS_DEFS) = range(11)
+
+# sorts and functions live in separate SMT-LIB namespaces: a sort is
+# recorded as a symbol under this prefix
+SORT = "sort "
+
+
+class SmtEmitter:
+    """Holds every program-level declaration as a unit, rendered when a VC
+    first reaches it, and writes each VC as a file that declares only the
+    units its assertions reach.  The declarations left out define symbols
+    that nothing in the file refers to; datatypes, declarations and
+    terminating definitions of fresh symbols are conservative extensions,
+    so the file is equisatisfiable with one that declares the program."""
+
+    def __init__(self, t: TargetProgram):
+        self.used: set[str] = set()  # symbols met by the current rendering
+        # defined symbol -> its unit
+        self.units: dict[str, _Unit] = dict(BUILTIN_UNITS)
+        datatypes = [d for d in t.source_types + t.kont_decls
+                     if d.variants is not None]
+        # in the datatype block after the builtin IntList and IntTree
+        for i, d in enumerate(datatypes, start=2):
+            self._datatype(i, d.name, d.variants)
+        for i, decl in enumerate(t.prelude):
+            if decl.body is None:
+                self._declare((LOGICAL_DECLS, i), decl.name, decl.params,
+                              decl.ret)
+            else:
+                self._define((LOGICAL_DEFS, i), decl.name, decl.params,
+                             decl.ret, lambda em, env, decl=decl:
+                             em.expr(decl.body, env))
+        for i, p in enumerate(t.post_defs):
+            match = FMatch(FVar(p.kont_param), p.arms)
+            self._define((POST_DEFS, i), p.name,
+                         [(p.kont_param, p.kont_ty), (p.arg_param, p.arg_ty),
+                          (p.result_param, p.result_ty)], TBool(),
+                         lambda em, env, match=match: em.formula(match, env))
+        # spec-less program functions become recursive definitions;
+        # functions carrying specs stay uninterpreted (their contracts
+        # drive the WP), declared for the spec-less bodies that call them
+        fns = list(t.apply_defs) + [
+            it for it in t.items if isinstance(it, LetDef) and it.params]
+        for i, d in enumerate(fns):
+            if d.spec is not None:
+                self._declare((SPEC_DECLS, i), d.name, d.params, d.ret)
+            else:
+                self._define((SPECLESS_DEFS, i), d.name, d.params, d.ret,
+                             lambda em, env, d=d: em.expr(d.body, env))
+
+    # -- units -------------------------------------------------------------
+
+    def _unit(self, key, defines, render, head=None):
+        """Register the unit that defines the symbols `defines`;
+        `render(emitter)` computes its text, and the symbols it meets are
+        its mentions.  (`render` takes the emitter as an argument rather
+        than closing over it, so units and emitter form no cycle.)"""
+        unit = _Unit(key, head, render)
+        for sym in defines:
+            self.units[sym] = unit
+
+    def _render(self, unit: _Unit):
+        outer, self.used = self.used, set()
+        try:
+            unit.text = unit.render(self)
+            unit.mentions = self.used
+        finally:
+            self.used = outer
+
+    def _datatype(self, i: int, sort: str, variants):
+        def render(em):
+            parts = []
+            for c, fields in variants:
+                sels = "".join(f" ({c}_{j} {em.sort(fty)})"
+                               for j, fty in enumerate(fields))
+                parts.append(f"({c}{sels})")
+            return f"({sort} 0)", "(" + " ".join(parts) + ")"
+        defines = [SORT + sort] + [c for c, _ in variants] + [
+            f"{c}_{j}" for c, fields in variants for j in range(len(fields))]
+        self._unit((DATATYPES, i), defines, render, head="declare-datatypes")
+
+    def _tuple(self, n: int):
+        """The n-tuple sort becomes a unit when first met."""
+        if f"mk-tup{n}" in self.units:
+            return
+        params = " ".join(f"T{i}" for i in range(n))
+        sels = " ".join(f"(tup{n}-{i} T{i})" for i in range(n))
+        self._unit((TUPLES, n),
+                   [f"{SORT}Tup{n}", f"mk-tup{n}"]
+                   + [f"tup{n}-{i}" for i in range(n)],
+                   lambda em: f"(declare-datatypes ((Tup{n} {n})) "
+                           f"((par ({params}) ((mk-tup{n} {sels})))))")
+
+    def _declare(self, key, name: str, params, ret: Ty):
+        self._unit(key, [name], lambda em: (
+            f"(declare-fun {name} "
+            f"({' '.join(em.sort(t) for _, t in params)}) {em.sort(ret)})"))
+
+    def _define(self, key, name: str, params, ret: Ty, body):
+        """A member of a `define-funs-rec` block; `body(emitter, env)`
+        renders its body with the parameters bound in `env`."""
+        def render(em):
+            sig = " ".join(f"({n} {em.sort(t)})" for n, t in params)
+            return (f"({name} ({sig}) {em.sort(ret)})",
+                    body(em, {n: n for n, _ in params}))
+        self._unit(key, [name], render, head="define-funs-rec")
+
+    def declarations(self, mentioned) -> list[str]:
+        """The commands declaring every unit that `mentioned` reaches, in
+        file order; a block keeps only its reached members."""
+        reached, todo = set(), list(mentioned)
+        while todo:
+            unit = self.units.get(todo.pop())
+            if unit is not None and unit not in reached:
+                reached.add(unit)
+                if unit.mentions is None:
+                    self._render(unit)
+                todo.extend(unit.mentions)
+        out = []
+        for (_, head), group in groupby(
+                sorted(reached, key=lambda u: u.key),
+                key=lambda u: (u.key[0], u.head)):
+            if head is None:
+                out.extend(u.text for u in group)
+            else:
+                sigs, bodies = zip(*(u.text for u in group))
+                out.append(f"({head} ({' '.join(sigs)}) ({' '.join(bodies)}))")
+        return out
 
     # -- sorts -------------------------------------------------------------
 
@@ -407,165 +531,20 @@ class SmtEmitter:
             return "Int"
         if isinstance(ty, TBool):
             return "Bool"
-        if isinstance(ty, TUnit):
-            self.need_unit = True
-            return "Unit"
-        if isinstance(ty, TNamed):
-            if ty.name == "list":
-                self.need_list = True
-                return "IntList"
-            if ty.name == "tree":
-                self.need_tree = True
-                return "IntTree"
-            return ty.name
         if isinstance(ty, TTuple):
             n = len(ty.items)
-            self.tuple_sorts.setdefault(n, f"Tup{n}")
+            self._tuple(n)
+            self.used.add(f"{SORT}Tup{n}")
             return (f"(Tup{n} "
                     + " ".join(self.sort(x) for x in ty.items) + ")")
-        raise VCError(f"arrow type {ty} reached SMT emission")
-
-    def _scan(self):
-        # touch every type so sorts/tuples are registered deterministically
-        for decl in self.t.source_types + self.t.kont_decls:
-            ctors = []
-            for c, fields in decl.variants or []:
-                ctors.append((c, [(f"{c}_{i}", self.sort(fty))
-                                  for i, fty in enumerate(fields)]))
-            self.datatypes.append((decl.name, ctors))
-        for p in self.t.post_defs:
-            self.sort(p.arg_ty)
-            self.sort(p.result_ty)
-        for d in list(self.t.apply_defs) + [
-                it for it in self.t.items if isinstance(it, LetDef)]:
-            for _, ty in d.params:
-                self.sort(ty)
-            if d.ret is not None:
-                self.sort(d.ret)
-
-    # -- header ------------------------------------------------------------
-
-    def datatype_block(self) -> list[str]:
-        decls = []
-        arities = []
-        bodies = []
-        if self.need_list:
-            arities.append("(IntList 0)")
-            bodies.append("((Nil) (Cons (Cons_0 Int) (Cons_1 IntList)))")
-        if self.need_tree:
-            arities.append("(IntTree 0)")
-            bodies.append("((Empty) (Node (Node_0 IntTree) (Node_1 Int)"
-                          " (Node_2 IntTree)))")
-        for sort_name, ctors in self.datatypes:
-            arities.append(f"({sort_name} 0)")
-            parts = []
-            for c, sels in ctors:
-                if sels:
-                    parts.append("(" + c + " "
-                                 + " ".join(f"({s} {srt})" for s, srt in sels)
-                                 + ")")
-                else:
-                    parts.append(f"({c})")
-            bodies.append("(" + " ".join(parts) + ")")
-        if arities:
-            decls.append("(declare-datatypes ("
-                         + " ".join(arities) + ") ("
-                         + " ".join(bodies) + "))")
-        if self.need_unit:
-            decls.insert(0, "(declare-datatypes ((Unit 0)) (((unit_v))))")
-        for n, name in sorted(self.tuple_sorts.items()):
-            params = " ".join(f"T{i}" for i in range(n))
-            sels = " ".join(f"(tup{n}-{i} T{i})" for i in range(n))
-            decls.append(
-                f"(declare-datatypes ((Tup{n} {n})) "
-                f"((par ({params}) ((mk-tup{n} {sels})))))")
-        return decls
-
-    # -- function definitions ---------------------------------------------
-
-    def builtin_defs(self) -> list[str]:
-        out = ["(define-fun max ((a Int) (b Int)) Int (ite (< a b) b a))"]
-        if self.need_list:
-            out.append(
-                "(define-fun-rec length ((l IntList)) Int "
-                "(ite ((_ is Nil) l) 0 (+ 1 (length (Cons_1 l)))))")
-        if self.need_tree:
-            out.append(
-                "(define-fun-rec height ((t IntTree)) Int "
-                "(ite ((_ is Empty) t) 0 "
-                "(+ 1 (max (height (Node_0 t)) (height (Node_2 t))))))")
-        return out
-
-    def logical_defs(self) -> list[str]:
-        out = []
-        group = []
-        for decl in self.t.prelude:
-            params = " ".join(
-                f"({n} {self.sort(t)})" for n, t in decl.params)
-            ret = self.sort(decl.ret)
-            if decl.body is None:
-                out.append(f"(declare-fun {decl.name} "
-                           f"({' '.join(self.sort(t) for _, t in decl.params)})"
-                           f" {ret})")
-            else:
-                env = {n: n for n, _ in decl.params}
-                body = self.expr(decl.body, env)
-                group.append((decl.name, params, ret, body))
-        if group:
-            sigs = " ".join(f"({n} ({p}) {r})" for n, p, r, _ in group)
-            bodies = " ".join(b for _, _, _, b in group)
-            out.append(f"(define-funs-rec ({sigs}) ({bodies}))")
-        return out
-
-    def post_defs(self) -> list[str]:
-        if not self.t.post_defs:
-            return []
-        sigs, bodies = [], []
-        for p in self.t.post_defs:
-            sig = (f"({p.name} (({p.kont_param} {self.sort(p.kont_ty)}) "
-                   f"({p.arg_param} {self.sort(p.arg_ty)}) "
-                   f"({p.result_param} {self.sort(p.result_ty)})) Bool)")
-            sigs.append(sig)
-            body = "true"
-            for pat, f in reversed(p.arms):
-                cond, binds = pattern_cond(pat, FVar(p.kont_param))
-                arm = self.formula(f, {n: self.formula(t, {})
-                                       for n, t in binds.items()})
-                if isinstance(cond, TrueP):
-                    body = arm
-                else:
-                    body = f"(ite {self.formula(cond, {})} {arm} {body})"
-            bodies.append(body)
-        return [f"(define-funs-rec ({' '.join(sigs)}) ({' '.join(bodies)}))"]
-
-    def fn_defs(self) -> list[str]:
-        """Spec-less program functions as recursive definitions; functions
-        carrying specs stay uninterpreted (their contracts drive the WP)."""
-        specless = []
-        spec_carrying = []
-        for d in list(self.t.apply_defs) + [
-                it for it in self.t.items
-                if isinstance(it, LetDef) and it.params]:
-            (spec_carrying if d.spec is not None else specless).append(d)
-        out = []
-        if specless:
-            sigs, bodies = [], []
-            for d in specless:
-                params = " ".join(f"({n} {self.sort(t)})" for n, t in d.params)
-                sigs.append(f"({d.name} ({params}) {self.sort(d.ret)})")
-                env = {n: n for n, _ in d.params}
-                bodies.append(self.expr(d.body, env))
-            # spec-carrying callees stay uninterpreted; declare any that a
-            # spec-less body mentions so the file is well-sorted
-            mentioned = " ".join(bodies)
-            for d in spec_carrying:
-                if f"({d.name} " in mentioned:
-                    doms = " ".join(self.sort(t) for _, t in d.params)
-                    out.append(f"(declare-fun {d.name} ({doms}) "
-                               f"{self.sort(d.ret)})")
-            out.append(
-                f"(define-funs-rec ({' '.join(sigs)}) ({' '.join(bodies)}))")
-        return out
+        if isinstance(ty, TUnit):
+            name = "Unit"
+        elif isinstance(ty, TNamed):
+            name = BUILTIN_SORTS.get(ty.name, ty.name)
+        else:
+            raise VCError(f"arrow type {ty} reached SMT emission")
+        self.used.add(SORT + name)
+        return name
 
     # -- terms -------------------------------------------------------------
 
@@ -575,28 +554,36 @@ class SmtEmitter:
         if isinstance(e, BoolLit):
             return "true" if e.value else "false"
         if isinstance(e, UnitLit):
-            self.need_unit = True
+            self.used.add("unit_v")
             return "unit_v"
         if isinstance(e, NilLit):
+            self.used.add("Nil")
             return "Nil"
         if isinstance(e, Var):
-            return env.get(e.name, e.name)
+            s = env.get(e.name)
+            if s is None:
+                self.used.add(e.name)
+                return e.name
+            return s
         if isinstance(e, Cons):
+            self.used.add("Cons")
             return f"(Cons {self.expr(e.head, env)} {self.expr(e.tail, env)})"
         if isinstance(e, ConstructorApp):
+            self.used.add(e.name)
             if not e.args:
                 return e.name
             return ("(" + e.name + " "
                     + " ".join(self.expr(a, env) for a in e.args) + ")")
         if isinstance(e, TupleE):
             n = len(e.items)
-            self.tuple_sorts.setdefault(n, f"Tup{n}")
+            self._tuple(n)
+            self.used.add(f"mk-tup{n}")
             return (f"(mk-tup{n} "
                     + " ".join(self.expr(x, env) for x in e.items) + ")")
         if isinstance(e, BinOp):
-            self.need_div |= e.op == "/"
-            return (f"({SMT_OPS[e.op]} {self.expr(e.left, env)} "
-                    f"{self.expr(e.right, env)})")
+            op = SMT_OPS[e.op]
+            self.used.add(op)
+            return f"({op} {self.expr(e.left, env)} {self.expr(e.right, env)})"
         if isinstance(e, Seq):
             return self.expr(e.second, env)
         if isinstance(e, LetIn):
@@ -609,25 +596,10 @@ class SmtEmitter:
             return (f"(ite {self.expr(e.cond, env)} {self.expr(e.then, env)} "
                     f"{self.expr(e.els, env)})")
         if isinstance(e, Match):
-            scrut = self.expr(e.scrutinee, env)
-            sort = self.sort(e.ty) if e.ty is not None else "Int"
-            default = f"(absurd-{_flat(sort)})"
-            self._absurds.add(sort)
-            body = default
-            for pat, arm in reversed(e.arms):
-                if isinstance(arm, Absurd):
-                    continue
-                cond, binds = pattern_cond(pat, FVar("%s%"))
-                cond_s = self.formula(cond, {}).replace("%s%", scrut)
-                env2 = dict(env)
-                for n, term in binds.items():
-                    env2[n] = self.formula(term, {}).replace("%s%", scrut)
-                arm_s = self.expr(arm, env2)
-                if cond_s == "true":
-                    body = arm_s
-                else:
-                    body = f"(ite {cond_s} {arm_s} {body})"
-            return body
+            return self._match(
+                self.expr(e.scrutinee, env),
+                [(p, a) for p, a in e.arms if not isinstance(a, Absurd)],
+                self.expr, env, lambda: self._absurd(e.ty))
         if isinstance(e, App):
             head, args = e, []
             while isinstance(head, App):
@@ -636,11 +608,14 @@ class SmtEmitter:
             args.reverse()
             if not isinstance(head, Var):
                 raise VCError("higher-order application in SMT encoding")
+            self.used.add(head.name)
             return ("(" + head.name + " "
                     + " ".join(self.expr(a, env) for a in args) + ")")
         raise VCError(f"cannot encode expression {e!r}")
 
     def formula(self, f: Formula, env: dict) -> str:
+        """`env` maps every bound name to its rendering; a name outside it
+        is a symbol of the program."""
         if isinstance(f, TrueP):
             return "true"
         if isinstance(f, FInt):
@@ -648,33 +623,44 @@ class SmtEmitter:
         if isinstance(f, FBool):
             return "true" if f.value else "false"
         if isinstance(f, FVar):
-            return env.get(f.name, f.name)
+            s = env.get(f.name)
+            if s is None:
+                self.used.add(f.name)
+                return f.name
+            return s
         if isinstance(f, FConstr):
+            self.used.add(f.name)
             if not f.args:
-                return "unit_v" if f.name == "unit_v" else f.name
+                return f.name
             return ("(" + f.name + " "
                     + " ".join(self.formula(a, env) for a in f.args) + ")")
         if isinstance(f, FLogicApp):
             if f.name.startswith(IS_PREFIX):
                 ctor = f.name[len(IS_PREFIX):]
+                self.used.add(ctor)
                 return f"((_ is {ctor}) {self.formula(f.args[0], env)})"
             if f.name.startswith(SEL_PREFIX):
                 rest = f.name[len(SEL_PREFIX):]
                 ctor, idx = rest.rsplit("-", 1)
                 if ctor.startswith("tup"):
+                    self._tuple(int(ctor[3:]))
                     sel = f"tup{ctor[3:]}-{idx}"
                 else:
                     sel = f"{ctor}_{idx}"
+                self.used.add(sel)
                 return f"({sel} {self.formula(f.args[0], env)})"
+            self.used.add(f.name)
             return ("(" + f.name + " "
                     + " ".join(self.formula(a, env) for a in f.args) + ")")
         if isinstance(f, FBinOp):
-            self.need_div |= f.op == "/"
-            return (f"({SMT_OPS[f.op]} {self.formula(f.left, env)} "
+            op = SMT_OPS[f.op]
+            self.used.add(op)
+            return (f"({op} {self.formula(f.left, env)} "
                     f"{self.formula(f.right, env)})")
         if isinstance(f, FTuple):
             n = len(f.items)
-            self.tuple_sorts.setdefault(n, f"Tup{n}")
+            self._tuple(n)
+            self.used.add(f"mk-tup{n}")
             return (f"(mk-tup{n} "
                     + " ".join(self.formula(x, env) for x in f.items) + ")")
         if isinstance(f, Not):
@@ -682,47 +668,72 @@ class SmtEmitter:
         if isinstance(f, Forall):
             binders = " ".join(
                 f"({n} {self.sort(t)})" for n, t in f.binders)
-            env2 = {k: v for k, v in env.items()
-                    if k not in {n for n, _ in f.binders}}
+            env2 = dict(env)
+            env2.update((n, n) for n, _ in f.binders)
             return f"(forall ({binders}) {self.formula(f.body, env2)})"
         if isinstance(f, FLet):
             v = self.formula(f.value, env)
-            env2 = {k: w for k, w in env.items() if k != f.name}
+            env2 = dict(env)
+            env2[f.name] = f.name
             return f"(let (({f.name} {v})) {self.formula(f.body, env2)})"
         if isinstance(f, FMatch):
-            scrut = self.formula(f.scrutinee, env)
-            body = "true"
-            for pat, arm in reversed(f.arms):
-                cond, binds = pattern_cond(pat, FVar("%s%"))
-                cond_s = self.formula(cond, {}).replace("%s%", scrut)
-                env2 = dict(env)
-                for n, term in binds.items():
-                    env2[n] = self.formula(term, {}).replace("%s%", scrut)
-                arm_s = self.formula(arm, env2)
-                body = (arm_s if cond_s == "true"
-                        else f"(ite {cond_s} {arm_s} {body})")
-            return body
+            return self._match(self.formula(f.scrutinee, env), f.arms,
+                               self.formula, env, lambda: "true")
         raise VCError(f"cannot encode formula {f!r}")
+
+    def _match(self, scrut: str, arms, render, env: dict, default) -> str:
+        """An `ite` chain over the (pattern, body) `arms` on the rendered
+        scrutinee, up to the first arm that always matches; `render(body,
+        env)` renders a body, `default()` the value when no arm matches."""
+        at = {SCRUTINEE: scrut}
+        chain = []
+        for pat, body in arms:
+            cond, binds = pattern_cond(pat, FVar(SCRUTINEE))
+            cond_s = self.formula(cond, at)
+            env2 = dict(env)
+            for n, term in binds.items():
+                env2[n] = self.formula(term, at)
+            chain.append((cond_s, render(body, env2)))
+            if cond_s == "true":
+                break
+        out = (chain.pop()[1] if chain and chain[-1][0] == "true"
+               else default())
+        for cond_s, arm_s in reversed(chain):
+            out = f"(ite {cond_s} {arm_s} {out})"
+        return out
+
+    def _absurd(self, ty: Ty) -> str:
+        """The constant standing for a match that no arm matches; it
+        becomes a unit when first met."""
+        sort = self.sort(ty)
+        name = f"absurd-{_flat(sort)}"
+        if name not in self.units:
+            self._unit((ABSURDS, sort), [name], lambda em: (
+                f"(declare-fun {name} () {em.sort(ty)})"))
+        self.used.add(name)
+        return f"({name})"
 
     # -- one file per VC ---------------------------------------------------
 
     def emit_vc(self, vc: VC) -> str:
-        # a file declares the sorts of its program and of its own VC only,
-        # whatever was emitted before it; the VC is rendered before the
-        # datatype block so that sorts used only in its formulas count
-        self._reset_sorts()
+        # the VC is rendered first: the declarations are those its
+        # constants and assertions reach
+        self.used = set()
+        env = {n: n for n, _ in vc.binders}
         consts = [f"(declare-const {n} {self.sort(t)})"
                   for n, t in vc.binders]
-        hyps = [f"(assert {self.formula(h, {})})" for h in vc.hypotheses]
-        goal = f"(assert (not {self.formula(vc.goal, {})}))"
-        decls = self.datatype_block()
-        absurds = [f"(declare-fun absurd-{_flat(s)} () {s})"
-                   for s in sorted(self._absurds)]
-        div = [TRUNC_DIV_DEF] if self.need_div else []
-        lines = (["(set-logic ALL)"] + decls + absurds + div + self.preamble
-                 + consts + hyps + [goal, "(check-sat)"])
+        hyps = [f"(assert {self.formula(h, env)})" for h in vc.hypotheses]
+        goal = f"(assert (not {self.formula(vc.goal, env)}))"
+        lines = (["(set-logic ALL)"] + self.declarations(self.used) + consts
+                 + hyps + [goal, "(check-sat)"])
         return "\n".join(lines) + "\n"
 
+
+# a pattern's conditions and bindings are built on this name, which the
+# renderer maps to the scrutinee's text
+SCRUTINEE = "%s%"
+
+BUILTIN_SORTS = {"list": "IntList", "tree": "IntTree"}
 
 # integer division truncating toward zero, as the interpreter computes it
 # (SMT-LIB's `div` is Euclidean: (div (- 7) 2) is -4, not -3)
@@ -735,6 +746,42 @@ SMT_OPS = {
     "+": "+", "-": "-", "*": "*", "/": TRUNC_DIV,
     "=": "=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
     "&&": "and", "||": "or", "/\\": "and", "\\/": "or", "->": "=>",
+}
+
+# the declarations every program may use, as units: (key, head, text,
+# defined symbols, mentioned symbols); program datatypes follow the two
+# builtin ones in their block
+BUILTIN_UNITS = {
+    sym: unit
+    for key, head, text, defines, mentions in [
+        ((UNIT_SORT, 0), None, "(declare-datatypes ((Unit 0)) (((unit_v))))",
+         [SORT + "Unit", "unit_v"], ()),
+        ((DATATYPES, 0), "declare-datatypes",
+         ("(IntList 0)", "((Nil) (Cons (Cons_0 Int) (Cons_1 IntList)))"),
+         [SORT + "IntList", "Nil", "Cons", "Cons_0", "Cons_1"],
+         [SORT + "IntList"]),
+        ((DATATYPES, 1), "declare-datatypes",
+         ("(IntTree 0)",
+          "((Empty) (Node (Node_0 IntTree) (Node_1 Int) (Node_2 IntTree)))"),
+         [SORT + "IntTree", "Empty", "Node", "Node_0", "Node_1", "Node_2"],
+         [SORT + "IntTree"]),
+        ((DIV, 0), None, TRUNC_DIV_DEF, [TRUNC_DIV], ()),
+        ((BUILTINS, 0), None,
+         "(define-fun max ((a Int) (b Int)) Int (ite (< a b) b a))",
+         ["max"], ()),
+        ((BUILTINS, 1), None,
+         "(define-fun-rec length ((l IntList)) Int "
+         "(ite ((_ is Nil) l) 0 (+ 1 (length (Cons_1 l)))))",
+         ["length"], [SORT + "IntList", "Nil", "Cons_1", "length"]),
+        ((BUILTINS, 2), None,
+         "(define-fun-rec height ((t IntTree)) Int "
+         "(ite ((_ is Empty) t) 0 "
+         "(+ 1 (max (height (Node_0 t)) (height (Node_2 t))))))",
+         ["height"],
+         [SORT + "IntTree", "Empty", "Node_0", "Node_2", "max", "height"]),
+    ]
+    for unit in [_Unit(key, head, text=text, mentions=frozenset(mentions))]
+    for sym in defines
 }
 
 
@@ -760,6 +807,7 @@ def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str,
             "file": fname,
             "definition": vc.origin[0],
             "kind": vc.kind,
+            "loc": str(vc.origin[1]) if vc.origin[1] is not None else None,
             "expected": (expected or {}).get(vc.name),
         })
     with open(os.path.join(outdir, "index.json"), "w") as fh:

@@ -42,6 +42,18 @@ class TestRecordTypesRejected:
         assert re.match(r"error: unsupported: 1:\d+: record types", err), err
 
 
+class TestProgramNamesAvoidLogicalSymbols:
+    @pytest.mark.parametrize("name", ["max", "length", "height", "double"])
+    def test_toplevel_let_named_like_a_logical_is_located(self, mlg, capsys,
+                                                         name):
+        path = mlg("(*@ function double (x : int) : int = x + x *)\n\n"
+                   f"let {name} (x : int) : int = x + 1\n")
+        assert main(["check", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: mismatch: 3:1: logical symbol '{name}' redeclared"), err
+
+
 class TestNestingLimit:
     @pytest.mark.parametrize("body", [
         " + ".join(["x"] * 600),

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -105,6 +106,96 @@ KNOWN_HEADS = {
     "define-fun", "define-fun-rec", "define-funs-rec", "assert", "check-sat",
 }
 
+# ---------------------------------------------------------------------------
+# Closedness: every symbol of a file is an SMT-LIB builtin, a numeral,
+# declared by an earlier command of the same file, or bound around it.
+
+BUILTIN_SORTS = {"Int", "Bool"}
+BUILTIN_FUNS = {
+    "true", "false", "ite", "=", "distinct", "+", "-", "*", "div", "mod",
+    "abs", "<", "<=", ">", ">=", "and", "or", "not", "=>", "xor",
+}
+
+
+def unbound_symbols(text: str) -> list[str]:
+    """The symbols of an SMT-LIB2 file that nothing declares or binds
+    before their use, in order of appearance; empty for a closed file."""
+    sorts, funs, bad = set(BUILTIN_SORTS), set(BUILTIN_FUNS), []
+
+    def sort(s, params=()):
+        if isinstance(s, str):
+            if s not in sorts and s not in params:
+                bad.append(s)
+        else:
+            sort(s[0], params)
+            for a in s[1:]:
+                sort(a, params)
+
+    def term(t, bound):
+        if isinstance(t, str):
+            if not (t.isdigit() or t in bound or t in funs):
+                bad.append(t)
+            return
+        head, *args = t
+        if isinstance(head, list):  # ((_ is C) x)
+            assert head[:2] == ["_", "is"], head
+            term(head[2], bound)
+        elif head in ("forall", "exists"):
+            for _, s in args[0]:
+                sort(s)
+            term(args[1], bound | {n for n, _ in args[0]})
+            return
+        elif head == "let":
+            for _, v in args[0]:
+                term(v, bound)
+            term(args[1], bound | {n for n, _ in args[0]})
+            return
+        else:
+            term(head, bound)
+        for a in args:
+            term(a, bound)
+
+    def define(name, params, ret, body):
+        for _, s in params:
+            sort(s)
+        sort(ret)
+        term(body, {n for n, _ in params})
+
+    for form in parse_sexprs(text):
+        head, *args = form
+        if head == "declare-datatypes":
+            sorts.update(n for n, _ in args[0])
+            for body in args[1]:
+                params = ()
+                if body[0] == "par":
+                    params, body = set(body[1]), body[2]
+                for ctor, *sels in body:
+                    funs.add(ctor)
+                    for sel, s in sels:
+                        sort(s, params)
+                        funs.add(sel)
+        elif head == "declare-fun":
+            for s in args[1]:
+                sort(s)
+            sort(args[2])
+            funs.add(args[0])
+        elif head == "declare-const":
+            sort(args[1])
+            funs.add(args[0])
+        elif head == "define-fun":
+            define(*args)
+            funs.add(args[0])
+        elif head == "define-fun-rec":
+            funs.add(args[0])
+            define(*args)
+        elif head == "define-funs-rec":
+            funs.update(sig[0] for sig in args[0])
+            for sig, body in zip(args[0], args[1]):
+                define(*sig, body)
+        elif head == "assert":
+            term(args[0], set())
+    return bad
+
 
 @pytest.fixture(scope="module")
 def emitted(corpus_targets, tmp_path_factory):
@@ -136,8 +227,18 @@ class TestSmtFiles:
             assert len(idx) == EXPECTED_COUNTS[name]
             for entry in idx:
                 assert set(entry) == {
-                    "name", "file", "definition", "kind", "expected"}
+                    "name", "file", "definition", "kind", "loc", "expected"}
                 assert (d / entry["file"]).exists()
+                loc = entry["loc"]
+                assert loc is None or re.fullmatch(r"\d+:\d+", loc), loc
+
+    def test_index_locates_definitions(self, emitted):
+        idx = json.loads((emitted["smallstep.mlg"] / "index.json").read_text())
+        locs = {e["name"]: e["loc"] for e in idx}
+        assert locs["vc_post_eval_0"] == "68:1"  # the lemma
+        assert locs["vc_red_0"] == "56:1"  # `let rec red`
+        # generated apply functions have no source position
+        assert locs["vc_apply0_0"] is None
 
     def test_spec_carrying_callees_stay_uninterpreted(self, emitted):
         """Functions with contracts must never receive SMT definitions —
@@ -171,6 +272,110 @@ class TestSmtFiles:
             for vc in vcs:
                 name = f"{vc.name}.smt2"
                 assert (a / name).read_text() == (b / name).read_text()
+
+
+def declared(text: str) -> list[str]:
+    """The sorts and functions a file declares, in order; a block's
+    members one by one."""
+    out = []
+    for form in parse_sexprs(text):
+        if form[0] in ("declare-datatypes", "define-funs-rec"):
+            out += [member[0] for member in form[1]]
+        elif form[0] in ("declare-fun", "define-fun", "define-fun-rec"):
+            out.append(form[1])
+    return out
+
+
+def smt_files(text: str) -> dict:
+    """VC name -> the text of its SMT file, for one program."""
+    _, _, t = pipeline(text)
+    emitter = SmtEmitter(t)
+    return {vc.name: emitter.emit_vc(vc) for vc in generate_vcs(t)}
+
+
+class TestClosedFiles:
+    """A file declares what its VC reaches, and leaves out nothing that its
+    declarations or assertions use."""
+
+    def test_corpus(self, emitted):
+        for d in emitted.values():
+            for path in sorted(d.glob("*.smt2")):
+                assert unbound_symbols(path.read_text()) == [], path.name
+
+    def test_generated_programs(self):
+        for seed in range(200):
+            for name, text in smt_files(gen_program(seed)).items():
+                assert unbound_symbols(text) == [], (seed, name)
+
+    def test_ladders(self):
+        for n in range(2, 13):
+            for name, text in smt_files(ladder_source(n, [5] * n)).items():
+                assert unbound_symbols(text) == [], (n, name)
+
+    def test_checker_flags_a_missing_definition(self, emitted):
+        text = (emitted["height.mlg"] / "vc_height_tree_0.smt2").read_text()
+        assert "(define-fun max " in text
+        cut = "".join(line for line in text.splitlines(keepends=True)
+                      if not line.startswith("(define-fun max "))
+        assert set(unbound_symbols(cut)) == {"max"}
+
+    def test_checker_flags_a_binder_out_of_scope(self):
+        text = ("(set-logic ALL)\n(declare-const a Int)\n"
+                "(assert (forall ((b Int)) (= a b)))\n"
+                "(assert (let ((c a)) (= c b)))\n(check-sat)\n")
+        assert unbound_symbols(text) == ["b"]
+
+
+class TestPruning:
+    PROGRAM = """\
+type color = Red | Green
+
+(*@ function double (x : int) : int = x + x *)
+(*@ function triple (x : int) : int = x + x + x *)
+(*@ lemma double_def : forall x : int. double x = 2 * x *)
+
+let unrelated (c : color) : int =
+  match c with
+  | Red -> 1
+  | Green -> 2
+  end
+
+let h (x : int) : int = x * 2
+let g (x : int) : int = h x + 1
+let f (x : int) : int = g x
+let k (x : int) : int = f x
+(*@ r = k x
+    ensures r = 2 * x + 1 *)
+"""
+
+    def test_file_declares_only_what_its_vc_reaches(self):
+        files = smt_files(self.PROGRAM)
+        # the lemma mentions `double`, and the goal the chain f -> g -> h;
+        # `triple`, `unrelated`, `color` and `max` are reached by nothing
+        assert declared(files["vc_k_0"]) == ["double", "h", "g", "f"]
+        assert declared(files["vc_double_def_0"]) == ["double"]
+
+    def test_call_chain_kept_in_one_block(self):
+        text = smt_files(self.PROGRAM)["vc_k_0"]
+        blocks = [[member[0] for member in form[1]]
+                  for form in parse_sexprs(text)
+                  if form[0] == "define-funs-rec"]
+        assert blocks == [["double"], ["h", "g", "f"]]
+
+    def test_lemma_hypothesis_keeps_its_symbols(self):
+        text = smt_files(self.PROGRAM)["vc_k_0"]
+        assert "(assert (forall ((x Int)) (= (double x) (* 2 x))))" in text
+        assert unbound_symbols(text) == []
+        # a logical that no hypothesis mentions is left out
+        assert "triple" not in declared(text)
+
+    def test_datatype_reached_through_a_constructor(self):
+        text = smt_files(self.PROGRAM.replace(
+            "let k (x : int) : int = f x",
+            "let k (x : int) : int = f x + unrelated Red"))["vc_k_0"]
+        assert declared(text) == ["color", "absurd-Int", "double",
+                                  "unrelated", "h", "g", "f"]
+        assert unbound_symbols(text) == []
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +720,36 @@ let f (a : int) (b : int) : int =
         t, vcs = vcs_of(broken)
         (pre,) = [vc for vc in vcs if vc.kind == "precondition-at-call"]
         assert not valid(t, pre, ints)
+
+
+class TestFreshBinders:
+    """A contract result or join binder never captures a program name."""
+
+    CAPTURE = {
+        "res": """\
+let g (x : int) : int = x
+(*@ r = g x
+    ensures r = x *)
+
+let f (res_0 : int) : int = g 1
+(*@ r = f res_0
+    ensures r = res_0 *)
+""",
+        "join": """\
+let f (join_0 : int) : int =
+  let y : int = if join_0 < 0 then 0 else 1 in y
+(*@ r = f join_0
+    ensures r = join_0 *)
+""",
+    }
+
+    @pytest.mark.parametrize("kind", ["res", "join"])
+    def test_false_contract_is_falsified(self, kind):
+        text = self.CAPTURE[kind]
+        p, _, t = pipeline(text)
+        assert eval_ho(p, "f", [5]) == 1  # so `ensures r = 5` is false
+        (vc,) = [vc for vc in generate_vcs(t) if vc.origin[0] == "f"]
+        assert not valid(t, vc)
 
 
 def conj(fs):
