@@ -99,6 +99,8 @@ class Defunctionalizer:
         self.program = program
         self.env = checker.env
         self.taken = all_identifiers(program)
+        self.toplevel_names = {item.name for item in program.items
+                               if isinstance(item, LetDef)}
         self.sites: list[LambdaSite] = []
         self.site_of: dict[int, LambdaSite] = {}  # id(Lambda node) -> site
         self.families: list[KontFamily] = []
@@ -275,11 +277,6 @@ class Defunctionalizer:
         from_chain = [(n, t) for n, t in lam.chain
                       if any(m == n for m, _ in fv)]
         return outer + from_chain
-
-    @property
-    def toplevel_names(self) -> set:
-        return {item.name for item in self.program.items
-                if isinstance(item, LetDef)}
 
     # -- pass 4: families --------------------------------------------------
 

@@ -791,13 +791,17 @@ class Parser:
         self.fail("expected a formula")
 
 
-# Deepest nesting of AST nodes a program may have.  The passes after parsing
-# recurse on the tree.  VC generation takes the most Python stack: about 12
-# frames per nested `if` or `let ... in`, so at the default recursion limit
-# of 1000 it overflows at 85 levels (the other passes reach 250).  The limit
-# leaves a quarter of the stack to the caller.  The deepest input in the
-# corpus and benchmark nests 41 levels.  VC generation's stack also grows
-# with the width of a definition, so it has a guard of its own.
+# Deepest nesting of AST nodes a program may have.  The passes recurse on
+# the tree.  Measured at the default recursion limit of 1000, in Python
+# frames per level: the parser takes about 5 per level of nested
+# parenthesised arithmetic (it overflows at about 190 levels), the SMT
+# renderer about 2.5, the type checker and the interpreter's compiled
+# closures, which call each other directly for nested subterms, about 2,
+# and VC generation about 1.5.  The interpreter relies on this limit, which
+# also leaves most of the stack to the caller.  The deepest input in the
+# corpus and benchmark nests 41 levels.  A VC also nests a binder per call
+# with a contract and per join, which grows with the width of a definition,
+# so SMT emission has a guard of its own.
 MAX_DEPTH = 64
 
 

@@ -56,9 +56,6 @@ class TypeEnv:
             raise TypeError_("unbound-variable", f"unbound variable {name!r}", loc)
         return stack[-1]
 
-    def depths(self) -> dict[str, int]:
-        return {n: len(s) for n, s in self.var_type.items()}
-
     # -- types -------------------------------------------------------------
 
     def expand(self, ty: Ty, loc=None) -> Ty:
@@ -167,11 +164,13 @@ class Checker:
 
     def check_letdef(self, d: LetDef, toplevel: bool):
         loc = d.loc
-        if toplevel and d.name in self.env.logicals:
+        if toplevel:
             # program functions and logical symbols share one namespace in
             # the SMT encoding
-            raise TypeError_("mismatch",
-                             f"logical symbol {d.name!r} redeclared", loc)
+            if d.name in self.env.logicals:
+                raise TypeError_("mismatch",
+                                 f"logical symbol {d.name!r} redeclared", loc)
+            self.check_param_names(d.params, loc)
         for n, t in d.params:
             if t is None:
                 raise TypeError_("annotation-missing",
@@ -204,6 +203,15 @@ class Checker:
         if d.spec is not None:
             self.check_spec(d.spec, d)
         self.env.push(d.name, d.arrow_ty() if d.params else d.ret)
+
+    def check_param_names(self, params, loc):
+        """A parameter becomes an SMT constant, or a `let` name in a post
+        predicate, so it may not take a logical symbol's name either."""
+        for n, _ in params:
+            if n in self.env.logicals:
+                raise TypeError_(
+                    "mismatch",
+                    f"logical symbol {n!r} redeclared as a parameter", loc)
 
     # -- expressions -------------------------------------------------------
 
@@ -331,6 +339,7 @@ class Checker:
                     raise TypeError_(
                         "annotation-missing",
                         f"lambda parameter {n!r} lacks a type annotation", e.loc)
+            self.check_param_names(e.params, e.loc)
             params = [(n, env.expand(t, e.loc)) for n, t in e.params]
             e.params = params
             e.ret = env.expand(e.ret, e.loc)

@@ -16,6 +16,7 @@ from itertools import groupby
 
 from .defunc import TargetProgram
 from .errors import VCError
+from .specs import subst_formula
 from .syntax import (
     Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, FBinOp, FBool, FConstr,
     FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, Formula, If, IntLit,
@@ -99,7 +100,21 @@ def pattern_cond(pat, scrut: Formula):
 # WP engine
 
 
+class _Unreachable(Exception):
+    """An `absurd` was reached: the rest of the walk up to the nearest join
+    branch, tail position or definition would compute with a value that
+    never exists, so there is nothing left to check there."""
+
+
 class VCGen:
+    """Walks each definition body in direct style.  An expression in tail
+    position (the body, a `let` body, the second half of `;`, a branch of a
+    tail `if`/`match`) is checked against the postcondition by `wp`; any
+    other expression is turned into a term by `term`.  A call to a function
+    with a contract, and an `if`/`match` whose value flows on, bind their
+    value to a fresh name: each opens a frame (binder, sort, facts) on
+    `frames`, which `wp` closes around its result."""
+
     def __init__(self, t: TargetProgram):
         self.t = t
         self.defs: dict[str, LetDef] = {}
@@ -111,20 +126,10 @@ class VCGen:
         self.vcs: list[VC] = []
         self.lemma_hyps: list[Formula] = []
         self._counters: dict[str, int] = {}
-        # facts established by enclosing calls' ensures clauses; these are
-        # scoped dynamically because continuations capture the lexical ctx
-        # from before the call
-        self._extra_binders: list = []
-        self._extra_hyps: list = []
-        # the continuation of the definition body being walked (its ensures
-        # clause or the trivial one): small, so branches copy it; any
-        # other continuation is joined through a fresh binder (wp_join)
-        self._post = None
-
-    def _side(self, binders, hyps, goal, origin, sink):
-        if sink is not None:
-            sink(VC("", list(binders) + list(self._extra_binders),
-                    list(hyps) + list(self._extra_hyps), goal, origin))
+        self.defn: LetDef | None = None  # the definition being walked
+        # (binder, sort, facts) of each binding in scope, outermost first
+        self.frames: list = []
+        self.side: list[VC] = []  # side VCs met by the current walk
 
     def fresh(self, base: str) -> str:
         """A binder name that captures no name of the program."""
@@ -134,170 +139,167 @@ class VCGen:
         self._counters[base] = n + 1
         return f"{base}{n}"
 
+    def _side(self, hyps, goal, loc, kind):
+        """A side VC at this point of the walk: under the path `hyps` and
+        the facts of every frame in scope."""
+        self.side.append(VC(
+            "", self.defn.params + [(b, ty) for b, ty, _ in self.frames],
+            hyps + [f for _, _, facts in self.frames for f in facts], goal,
+            (self.defn.name, loc, kind)))
+
+    def close(self, mark: int, f: Formula) -> Formula:
+        """`f` under the frames opened since `mark`, which are dropped."""
+        frames = self.frames
+        while len(frames) > mark:
+            b, ty, facts = frames.pop()
+            f = Forall([(b, ty)], FBinOp("->", conj(facts), f))
+        return f
+
     # -- expression -> term/wp --------------------------------------------
 
-    def wp(self, e, C, env: dict, ctx, sink):
-        """Weakest precondition of `e` against continuation `C` (term ->
-        Formula).  `env` substitutes program variables by terms; `ctx` is
-        (binders, hyps) for side VCs dropped into `sink`."""
-        if isinstance(e, IntLit):
-            return C(FInt(e.value))
-        if isinstance(e, BoolLit):
-            return C(FBool(e.value))
-        if isinstance(e, UnitLit):
-            return C(FConstr("unit_v", []))
-        if isinstance(e, NilLit):
-            return C(FConstr("Nil", []))
-        if isinstance(e, Var):
-            return C(env.get(e.name, FVar(e.name)))
-        if isinstance(e, Cons):
-            return self.wp_many(
-                [e.head, e.tail],
-                lambda ts: C(FConstr("Cons", ts)), env, ctx, sink)
-        if isinstance(e, ConstructorApp):
-            return self.wp_many(
-                e.args, lambda ts: C(FConstr(e.name, ts)), env, ctx, sink)
-        if isinstance(e, TupleE):
-            return self.wp_many(
-                e.items, lambda ts: C(FTuple(ts)), env, ctx, sink)
-        if isinstance(e, BinOp):
-            return self.wp_many(
-                [e.left, e.right],
-                lambda ts: C(formula_of_binop(e.op, *ts)), env, ctx, sink)
-        if isinstance(e, Seq):
-            return self.wp(e.first,
-                           lambda _t: self.wp(e.second, C, env, ctx, sink),
-                           env, ctx, sink)
-        if isinstance(e, LetIn):
-            d = e.defn
+    def wp(self, e, post, env: dict, hyps: list) -> Formula:
+        """Weakest precondition of `e`, in tail position, against `post`
+        (term -> Formula).  `env` substitutes program variables by terms;
+        `hyps` is the path to `e`.  A tail `if`/`match` copies `post` into
+        each branch."""
+        mark = len(self.frames)
+        try:
+            while True:
+                cls = type(e)
+                if cls is LetIn:
+                    d = e.defn
+                    t = self.term(d.body, env, hyps)
+                    env = {**env, d.name: t}
+                    e = e.body
+                elif cls is Seq:
+                    self.term(e.first, env, hyps)
+                    e = e.second
+                else:
+                    break
+            if cls is If:
+                c = self.term(e.cond, env, hyps)
+                then = self.wp(e.then, post, env, hyps + [c])
+                els = self.wp(e.els, post, env, hyps + [Not(c)])
+                out = FBinOp("/\\", FBinOp("->", c, then),
+                             FBinOp("->", Not(c), els))
+            elif cls is Match:
+                s = self.term(e.scrutinee, env, hyps)
+                out = self.split(e, s, post, env, hyps)
+            else:
+                out = post(self.term(e, env, hyps))
+        except _Unreachable:
+            out = TrueP()
+        return self.close(mark, out)
 
-            def after(t):
-                env2 = dict(env)
-                env2[d.name] = t
-                return self.wp(e.body, C, env2, ctx, sink)
-            return self.wp(d.body, after, env, ctx, sink)
-        if isinstance(e, If):
-            def split(c):
-                if C is not self._post:
-                    return self.wp_join(e.ty, [([c], e.then, env),
-                                               ([Not(c)], e.els, env)],
-                                        C, ctx, sink)
-                binders, hyps = ctx
-                then = self.wp(e.then, C, env, (binders, hyps + [c]), sink)
-                els = self.wp(e.els, C, env, (binders, hyps + [Not(c)]), sink)
-                return FBinOp("/\\", FBinOp("->", c, then),
-                              FBinOp("->", Not(c), els))
-            return self.wp(e.cond, split, env, ctx, sink)
-        if isinstance(e, Match):
-            def split(s):
-                if C is not self._post:
-                    return self.wp_join(e.ty, match_arms(e, s, env), C, ctx,
-                                        sink)
-                return self.wp_match(e, s, C, env, ctx, sink)
-            return self.wp(e.scrutinee, split, env, ctx, sink)
-        if isinstance(e, Absurd):
-            binders, hyps = ctx
-            self._side(binders, hyps, FALSE,
-                       ("", e.loc, "absurd-unreachable"), sink)
-            return TrueP()
-        if isinstance(e, App):
-            head, args = e, []
-            while isinstance(head, App):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            if not isinstance(head, Var):
-                raise VCError("higher-order application reached wp")
-            return self.wp_many(
-                args, lambda ts: self.wp_call(head, ts, C, ctx, sink),
-                env, ctx, sink)
-        if isinstance(e, Lambda):
-            raise VCError("lambda value reached wp")
-        raise AssertionError(f"unhandled expression {e!r}")
-
-    def wp_many(self, exprs, C, env, ctx, sink):
-        def go(i, acc):
-            if i == len(exprs):
-                return C(acc)
-            return self.wp(exprs[i], lambda t: go(i + 1, acc + [t]),
-                           env, ctx, sink)
-        return go(0, [])
-
-    def wp_match(self, e: Match, scrut: Formula, C, env, ctx, sink):
-        binders, hyps = ctx
+    def split(self, e: Match, scrut: Formula, post, env, hyps) -> Formula:
+        """A tail `match`: one implication per arm that can be reached."""
         parts = []
         for path, body, env2 in match_arms(e, scrut, env):
-            if isinstance(body, Absurd):
-                self._side(binders, hyps + path, FALSE,
-                           ("", e.loc, "absurd-unreachable"), sink)
+            if type(body) is Absurd:
+                self._side(hyps + path, FALSE, e.loc, "absurd-unreachable")
                 continue
-            inner = self.wp(body, C, env2, (binders, hyps + path), sink)
+            inner = self.wp(body, post, env2, hyps + path)
             parts.append(FBinOp("->", conj(path), inner) if path else inner)
         return conj(parts)
 
-    def wp_join(self, ty, branches, C, ctx, sink):
-        """wp of a branching node whose value flows into `C`: a fresh
-        binder `j` stands for the value, and `C` is applied once, to `j`,
-        under the fact that some branch can yield `j` (Flanagan & Saxe,
-        POPL 2001).  `branches` are (path, body, env) triples."""
+    def term(self, e, env: dict, hyps: list) -> Formula:
+        """The term for the value of `e` in non-tail position."""
+        cls = type(e)
+        if cls is Var:
+            return env.get(e.name, FVar(e.name))
+        if cls is BinOp:
+            left = self.term(e.left, env, hyps)
+            return formula_of_binop(e.op, left, self.term(e.right, env, hyps))
+        if cls is IntLit:
+            return FInt(e.value)
+        if cls is App:
+            return self.call(e, env, hyps)
+        if cls is If:
+            c = self.term(e.cond, env, hyps)
+            return self.join(e.ty, [([c], e.then, env),
+                                    ([Not(c)], e.els, env)], hyps)
+        if cls is Match:
+            s = self.term(e.scrutinee, env, hyps)
+            return self.join(e.ty, match_arms(e, s, env), hyps)
+        if cls is LetIn:
+            d = e.defn
+            t = self.term(d.body, env, hyps)
+            return self.term(e.body, {**env, d.name: t}, hyps)
+        if cls is Seq:
+            self.term(e.first, env, hyps)
+            return self.term(e.second, env, hyps)
+        if cls is ConstructorApp:
+            return FConstr(e.name, [self.term(a, env, hyps) for a in e.args])
+        if cls is TupleE:
+            return FTuple([self.term(x, env, hyps) for x in e.items])
+        if cls is Cons:
+            head = self.term(e.head, env, hyps)
+            return FConstr("Cons", [head, self.term(e.tail, env, hyps)])
+        if cls is BoolLit:
+            return FBool(e.value)
+        if cls is NilLit:
+            return FConstr("Nil", [])
+        if cls is UnitLit:
+            return FConstr("unit_v", [])
+        if cls is Absurd:
+            self._side(hyps, FALSE, e.loc, "absurd-unreachable")
+            raise _Unreachable
+        if cls is Lambda:
+            raise VCError("lambda value reached wp")
+        raise AssertionError(f"unhandled expression {e!r}")
+
+    def join(self, ty, branches, hyps) -> FVar:
+        """The value of a branching node: a fresh binder `j`, under the
+        fact that some branch can yield `j` (Flanagan & Saxe, POPL 2001).
+        `branches` are (path, body, env) triples; each body is walked as a
+        value, so a branching node inside it joins again."""
         j = FVar(self.fresh("join_"))
-        binders, hyps = ctx
         facts = []
         for path, body, env in branches:
             # "body can yield j" = not (every outcome t of body differs
             # from j); for a call-free body this is just j = t
-            w = self.wp(body, lambda t: Not(FBinOp("=", j, t)), env,
-                        (binders, hyps + path), sink)
+            mark = len(self.frames)
+            try:
+                w = Not(FBinOp("=", j, self.term(body, env, hyps + path)))
+            except _Unreachable:
+                w = TrueP()
+            w = self.close(mark, w)
             fact = w.body if isinstance(w, Not) else Not(w)
             facts.append(FBinOp("->", conj(path), fact) if path else fact)
-        fact = conj(facts)
-        self._extra_binders.append((j.name, ty))
-        self._extra_hyps.append(fact)
-        try:
-            inner = C(j)
-        finally:
-            self._extra_binders.pop()
-            self._extra_hyps.pop()
-        return Forall([(j.name, ty)], FBinOp("->", fact, inner))
+        self.frames.append((j.name, ty, [conj(facts)]))
+        return j
 
-    def wp_call(self, head: Var, args, C, ctx, sink):
+    def call(self, e: App, env, hyps) -> Formula:
+        head, args = e, []
+        while isinstance(head, App):
+            args.append(head.arg)
+            head = head.fn
+        args.reverse()
+        if not isinstance(head, Var):
+            raise VCError("higher-order application reached wp")
+        ts = [self.term(a, env, hyps) for a in args]
         d = self.defs.get(head.name)
         if d is None or d.spec is None:
             # spec-less functions become defined symbols in the SMT encoding
-            return C(FLogicApp(head.name, list(args)))
-        inst = {n: a for (n, _), a in zip(d.params, args)}
-        requires = [subst(f, inst) for f in d.spec.requires]
-        binders, hyps = ctx
+            return FLogicApp(head.name, ts)
+        inst = {n: t for (n, _), t in zip(d.params, ts)}
+        requires = [subst_formula(f, inst) for f in d.spec.requires]
         if requires:
-            self._side(binders, hyps, conj(requires),
-                       (d.name, head.loc, "precondition-at-call"), sink)
-        res = self.fresh("res_")
-        inst_r = dict(inst)
-        inst_r["result"] = FVar(res)
-        ensures = [subst(f, inst_r) for f in d.spec.ensures]
-        self._extra_binders.append((res, d.ret))
-        mark = len(self._extra_hyps)
-        self._extra_hyps.extend(ensures)
-        try:
-            inner = C(FVar(res))
-        finally:
-            self._extra_binders.pop()
-            del self._extra_hyps[mark:]
-        return Forall([(res, d.ret)], FBinOp("->", conj(ensures), inner))
+            self._side(hyps, conj(requires), head.loc, "precondition-at-call")
+        res = FVar(self.fresh("res_"))
+        inst["result"] = res
+        self.frames.append((res.name, d.ret, [subst_formula(f, inst)
+                                              for f in d.spec.ensures]))
+        return res
 
     # -- per-definition VCs ------------------------------------------------
 
     def vcs_for_def(self, d: LetDef):
+        self.defn = d
         out: list[VC] = []
-        binders = list(d.params)
         hyps = list(self.lemma_hyps)
         if d.spec is not None:
             hyps += d.spec.requires
-
-        def harvest(vc: VC):
-            name = f"vc_{d.name}_{len(out)}"
-            out.append(VC(name, vc.binders, vc.hypotheses, vc.goal,
-                          (d.name, vc.origin[1], vc.origin[2])))
 
         body = d.body
         if isinstance(body, Match) and isinstance(body.scrutinee, Var):
@@ -307,42 +309,36 @@ class VCGen:
 
         ensures = d.spec.ensures if d.spec is not None else []
         for path, arm_body, binds in cases:
-            ctx = (binders, hyps + path)
             if isinstance(arm_body, Absurd):
-                harvest(VC("", list(binders), hyps + path, FALSE,
-                           (d.name, d.loc, "absurd-unreachable")))
+                out.append(VC("", list(d.params), hyps + path, FALSE,
+                              (d.name, d.loc, "absurd-unreachable")))
                 continue
-            first = True
-            for q in ensures:
-                def C(t, q=q):
-                    return subst(q, {"result": t})
-                self._post = C
-                goal = self.wp(arm_body, C, dict(binds), ctx,
-                               harvest if first else None)
-                first = False
-                harvest(VC("", list(binders), hyps + path, goal,
-                           (d.name, d.loc, "postcondition")))
-            if not ensures:
-                # still walk the body for absurd / precondition side VCs
-                self._post = _trivial
-                self.wp(arm_body, _trivial, dict(binds), ctx, harvest)
+            # one walk per ensures clause; without one, the body is still
+            # walked for its side VCs.  A walk after the first repeats the
+            # first one's side VCs, which are dropped.
+            for i, q in enumerate(ensures or [None]):
+                self.side = []
+                post = (_trivial if q is None else
+                        lambda t, q=q: subst_formula(q, {"result": t}))
+                goal = self.wp(arm_body, post, binds, hyps + path)
+                if i == 0:
+                    out += self.side
+                if q is not None:
+                    out.append(VC("", list(d.params), hyps + path, goal,
+                                  (d.name, d.loc, "postcondition")))
+        for i, vc in enumerate(out):
+            vc.name = f"vc_{d.name}_{i}"
         self.vcs.extend(out)
 
     def generate(self) -> list[VC]:
-        for i, lem in enumerate(self.t.lemmas):
+        for lem in self.t.lemmas:
             self.vcs.append(VC(f"vc_{lem.name}_0", [], list(self.lemma_hyps),
                                lem.formula, (lem.name, lem.loc, "lemma")))
             self.lemma_hyps.append(lem.formula)
         defs = self.t.apply_defs + [
             it for it in self.t.items if isinstance(it, LetDef) and it.params]
         for d in defs:
-            try:
-                self.vcs_for_def(d)
-            except RecursionError:
-                # wp nests a continuation call per pending subterm, so its
-                # stack grows with the size of a definition, not its depth
-                raise VCError(f"definition {d.name!r} is too large for VC "
-                              "generation", d.loc, "nesting-too-deep") from None
+            self.vcs_for_def(d)
         return self.vcs
 
 
@@ -363,11 +359,6 @@ def match_arms(e: Match, scrut: Formula, env: dict):
         env2 = dict(env)
         env2.update(binds)
         yield path, body, env2
-
-
-def subst(f: Formula, mapping: dict):
-    from .specs import subst_formula
-    return subst_formula(f, mapping)
 
 
 def generate_vcs(t: TargetProgram) -> list[VC]:
@@ -425,13 +416,13 @@ class SmtEmitter:
             else:
                 self._define((LOGICAL_DEFS, i), decl.name, decl.params,
                              decl.ret, lambda em, env, decl=decl:
-                             em.expr(decl.body, env))
+                             em.term(decl.body, env))
         for i, p in enumerate(t.post_defs):
             match = FMatch(FVar(p.kont_param), p.arms)
             self._define((POST_DEFS, i), p.name,
                          [(p.kont_param, p.kont_ty), (p.arg_param, p.arg_ty),
                           (p.result_param, p.result_ty)], TBool(),
-                         lambda em, env, match=match: em.formula(match, env))
+                         lambda em, env, match=match: em.term(match, env))
         # spec-less program functions become recursive definitions;
         # functions carrying specs stay uninterpreted (their contracts
         # drive the WP), declared for the spec-less bodies that call them
@@ -442,7 +433,7 @@ class SmtEmitter:
                 self._declare((SPEC_DECLS, i), d.name, d.params, d.ret)
             else:
                 self._define((SPECLESS_DEFS, i), d.name, d.params, d.ret,
-                             lambda em, env, d=d: em.expr(d.body, env))
+                             lambda em, env, d=d: em.term(d.body, env))
 
     # -- units -------------------------------------------------------------
 
@@ -548,152 +539,117 @@ class SmtEmitter:
 
     # -- terms -------------------------------------------------------------
 
-    def expr(self, e, env: dict) -> str:
-        if isinstance(e, IntLit):
-            return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-        if isinstance(e, BoolLit):
-            return "true" if e.value else "false"
-        if isinstance(e, UnitLit):
-            self.used.add("unit_v")
-            return "unit_v"
-        if isinstance(e, NilLit):
-            self.used.add("Nil")
-            return "Nil"
-        if isinstance(e, Var):
-            s = env.get(e.name)
+    def term(self, x, env: dict) -> str:
+        """The SMT-LIB text of an expression or a formula.  `env` maps
+        every bound name to its rendering; a name outside it is a symbol of
+        the program.  The node classes are tested in the order of how often
+        they occur in VCs."""
+        cls = type(x)
+        if cls is FVar or cls is Var:
+            s = env.get(x.name)
             if s is None:
-                self.used.add(e.name)
-                return e.name
+                self.used.add(x.name)
+                return x.name
             return s
-        if isinstance(e, Cons):
-            self.used.add("Cons")
-            return f"(Cons {self.expr(e.head, env)} {self.expr(e.tail, env)})"
-        if isinstance(e, ConstructorApp):
-            self.used.add(e.name)
-            if not e.args:
-                return e.name
-            return ("(" + e.name + " "
-                    + " ".join(self.expr(a, env) for a in e.args) + ")")
-        if isinstance(e, TupleE):
-            n = len(e.items)
-            self._tuple(n)
-            self.used.add(f"mk-tup{n}")
-            return (f"(mk-tup{n} "
-                    + " ".join(self.expr(x, env) for x in e.items) + ")")
-        if isinstance(e, BinOp):
-            op = SMT_OPS[e.op]
-            self.used.add(op)
-            return f"({op} {self.expr(e.left, env)} {self.expr(e.right, env)})"
-        if isinstance(e, Seq):
-            return self.expr(e.second, env)
-        if isinstance(e, LetIn):
-            d = e.defn
-            v = self.expr(d.body, env)
-            env2 = dict(env)
-            env2[d.name] = d.name
-            return f"(let (({d.name} {v})) {self.expr(e.body, env2)})"
-        if isinstance(e, If):
-            return (f"(ite {self.expr(e.cond, env)} {self.expr(e.then, env)} "
-                    f"{self.expr(e.els, env)})")
-        if isinstance(e, Match):
-            return self._match(
-                self.expr(e.scrutinee, env),
-                [(p, a) for p, a in e.arms if not isinstance(a, Absurd)],
-                self.expr, env, lambda: self._absurd(e.ty))
-        if isinstance(e, App):
-            head, args = e, []
-            while isinstance(head, App):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            if not isinstance(head, Var):
-                raise VCError("higher-order application in SMT encoding")
-            self.used.add(head.name)
-            return ("(" + head.name + " "
-                    + " ".join(self.expr(a, env) for a in args) + ")")
-        raise VCError(f"cannot encode expression {e!r}")
-
-    def formula(self, f: Formula, env: dict) -> str:
-        """`env` maps every bound name to its rendering; a name outside it
-        is a symbol of the program."""
-        if isinstance(f, TrueP):
-            return "true"
-        if isinstance(f, FInt):
-            return str(f.value) if f.value >= 0 else f"(- {-f.value})"
-        if isinstance(f, FBool):
-            return "true" if f.value else "false"
-        if isinstance(f, FVar):
-            s = env.get(f.name)
-            if s is None:
-                self.used.add(f.name)
-                return f.name
-            return s
-        if isinstance(f, FConstr):
-            self.used.add(f.name)
-            if not f.args:
-                return f.name
-            return ("(" + f.name + " "
-                    + " ".join(self.formula(a, env) for a in f.args) + ")")
-        if isinstance(f, FLogicApp):
-            if f.name.startswith(IS_PREFIX):
-                ctor = f.name[len(IS_PREFIX):]
+        if cls is FLogicApp:
+            name = x.name
+            if name.startswith(IS_PREFIX):
+                ctor = name[len(IS_PREFIX):]
                 self.used.add(ctor)
-                return f"((_ is {ctor}) {self.formula(f.args[0], env)})"
-            if f.name.startswith(SEL_PREFIX):
-                rest = f.name[len(SEL_PREFIX):]
-                ctor, idx = rest.rsplit("-", 1)
+                return f"((_ is {ctor}) {self.term(x.args[0], env)})"
+            if name.startswith(SEL_PREFIX):
+                ctor, idx = name[len(SEL_PREFIX):].rsplit("-", 1)
                 if ctor.startswith("tup"):
                     self._tuple(int(ctor[3:]))
                     sel = f"tup{ctor[3:]}-{idx}"
                 else:
                     sel = f"{ctor}_{idx}"
                 self.used.add(sel)
-                return f"({sel} {self.formula(f.args[0], env)})"
-            self.used.add(f.name)
-            return ("(" + f.name + " "
-                    + " ".join(self.formula(a, env) for a in f.args) + ")")
-        if isinstance(f, FBinOp):
-            op = SMT_OPS[f.op]
+                return f"({sel} {self.term(x.args[0], env)})"
+            return self._app(name, x.args, env)
+        if cls is FBinOp or cls is BinOp:
+            op = SMT_OPS[x.op]
             self.used.add(op)
-            return (f"({op} {self.formula(f.left, env)} "
-                    f"{self.formula(f.right, env)})")
-        if isinstance(f, FTuple):
-            n = len(f.items)
+            return f"({op} {self.term(x.left, env)} {self.term(x.right, env)})"
+        if cls is FInt or cls is IntLit:
+            return str(x.value) if x.value >= 0 else f"(- {-x.value})"
+        if cls is FLet:
+            return self._let(x.name, x.value, x.body, env)
+        if cls is TrueP:
+            return "true"
+        if cls is Not:
+            return f"(not {self.term(x.body, env)})"
+        if cls is FMatch:
+            return self._match(x.scrutinee, x.arms, env, _true)
+        if cls is Match:
+            arms = [(p, a) for p, a in x.arms if type(a) is not Absurd]
+            return self._match(x.scrutinee, arms, env,
+                               lambda: self._absurd(x.ty))
+        if cls is Forall:
+            binders = " ".join(f"({n} {self.sort(t)})" for n, t in x.binders)
+            env2 = dict(env)
+            env2.update((n, n) for n, _ in x.binders)
+            return f"(forall ({binders}) {self.term(x.body, env2)})"
+        if cls is If:
+            return (f"(ite {self.term(x.cond, env)} {self.term(x.then, env)} "
+                    f"{self.term(x.els, env)})")
+        if cls is FConstr or cls is ConstructorApp:
+            return self._app(x.name, x.args, env)
+        if cls is App:
+            head, args = x, []
+            while isinstance(head, App):
+                args.append(head.arg)
+                head = head.fn
+            args.reverse()
+            if not isinstance(head, Var):
+                raise VCError("higher-order application in SMT encoding")
+            return self._app(head.name, args, env)
+        if cls is LetIn:
+            return self._let(x.defn.name, x.defn.body, x.body, env)
+        if cls is Seq:
+            return self.term(x.second, env)
+        if cls is FTuple or cls is TupleE:
+            n = len(x.items)
             self._tuple(n)
             self.used.add(f"mk-tup{n}")
             return (f"(mk-tup{n} "
-                    + " ".join(self.formula(x, env) for x in f.items) + ")")
-        if isinstance(f, Not):
-            return f"(not {self.formula(f.body, env)})"
-        if isinstance(f, Forall):
-            binders = " ".join(
-                f"({n} {self.sort(t)})" for n, t in f.binders)
-            env2 = dict(env)
-            env2.update((n, n) for n, _ in f.binders)
-            return f"(forall ({binders}) {self.formula(f.body, env2)})"
-        if isinstance(f, FLet):
-            v = self.formula(f.value, env)
-            env2 = dict(env)
-            env2[f.name] = f.name
-            return f"(let (({f.name} {v})) {self.formula(f.body, env2)})"
-        if isinstance(f, FMatch):
-            return self._match(self.formula(f.scrutinee, env), f.arms,
-                               self.formula, env, lambda: "true")
-        raise VCError(f"cannot encode formula {f!r}")
+                    + " ".join(self.term(i, env) for i in x.items) + ")")
+        if cls is FBool or cls is BoolLit:
+            return "true" if x.value else "false"
+        if cls is Cons:
+            return self._app("Cons", [x.head, x.tail], env)
+        if cls is NilLit:
+            return self._app("Nil", [], env)
+        if cls is UnitLit:
+            return self._app("unit_v", [], env)
+        raise VCError(f"cannot encode {x!r}")
 
-    def _match(self, scrut: str, arms, render, env: dict, default) -> str:
-        """An `ite` chain over the (pattern, body) `arms` on the rendered
-        scrutinee, up to the first arm that always matches; `render(body,
-        env)` renders a body, `default()` the value when no arm matches."""
-        at = {SCRUTINEE: scrut}
+    def _app(self, name: str, args, env: dict) -> str:
+        self.used.add(name)
+        if not args:
+            return name
+        return ("(" + name + " "
+                + " ".join(self.term(a, env) for a in args) + ")")
+
+    def _let(self, name: str, value, body, env: dict) -> str:
+        v = self.term(value, env)
+        env2 = dict(env)
+        env2[name] = name
+        return f"(let (({name} {v})) {self.term(body, env2)})"
+
+    def _match(self, scrut, arms, env: dict, default) -> str:
+        """An `ite` chain over the (pattern, body) `arms` on `scrut`, up to
+        the first arm that always matches; `default()` renders the value
+        when no arm matches."""
+        at = {SCRUTINEE: self.term(scrut, env)}
         chain = []
         for pat, body in arms:
             cond, binds = pattern_cond(pat, FVar(SCRUTINEE))
-            cond_s = self.formula(cond, at)
+            cond_s = self.term(cond, at)
             env2 = dict(env)
             for n, term in binds.items():
-                env2[n] = self.formula(term, at)
-            chain.append((cond_s, render(body, env2)))
+                env2[n] = self.term(term, at)
+            chain.append((cond_s, self.term(body, env2)))
             if cond_s == "true":
                 break
         out = (chain.pop()[1] if chain and chain[-1][0] == "true"
@@ -711,7 +667,7 @@ class SmtEmitter:
             self._unit((ABSURDS, sort), [name], lambda em: (
                 f"(declare-fun {name} () {em.sort(ty)})"))
         self.used.add(name)
-        return f"({name})"
+        return name
 
     # -- one file per VC ---------------------------------------------------
 
@@ -722,8 +678,16 @@ class SmtEmitter:
         env = {n: n for n, _ in vc.binders}
         consts = [f"(declare-const {n} {self.sort(t)})"
                   for n, t in vc.binders]
-        hyps = [f"(assert {self.formula(h, env)})" for h in vc.hypotheses]
-        goal = f"(assert (not {self.formula(vc.goal, env)}))"
+        try:
+            hyps = [f"(assert {self.term(h, env)})" for h in vc.hypotheses]
+            goal = f"(assert (not {self.term(vc.goal, env)}))"
+        except RecursionError:
+            # the renderer recurses on the formula, which nests a binder per
+            # call with a contract and per join: their number grows with the
+            # width of a definition, not with its depth
+            raise VCError(f"definition {vc.origin[0]!r} is too large for VC "
+                          "generation", vc.origin[1],
+                          "nesting-too-deep") from None
         lines = (["(set-logic ALL)"] + self.declarations(self.used) + consts
                  + hyps + [goal, "(check-sat)"])
         return "\n".join(lines) + "\n"
@@ -783,6 +747,10 @@ BUILTIN_UNITS = {
     for unit in [_Unit(key, head, text=text, mentions=frozenset(mentions))]
     for sym in defines
 }
+
+
+def _true() -> str:
+    return "true"
 
 
 def _flat(sort: str) -> str:

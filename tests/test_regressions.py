@@ -53,6 +53,33 @@ class TestProgramNamesAvoidLogicalSymbols:
         assert err.startswith(
             f"error: mismatch: 3:1: logical symbol '{name}' redeclared"), err
 
+    @pytest.mark.parametrize("name", ["max", "length", "height", "double"])
+    def test_parameter_named_like_a_logical_is_located(self, mlg, capsys,
+                                                       name):
+        # at emission the parameter would be declared beside the symbol
+        path = mlg("(*@ function double (x : int) : int = x + x *)\n\n"
+                   f"let f ({name} : int) (l : int list) : int = {name}\n"
+                   f"(*@ r = f {name} l\n    ensures r = {name} *)\n")
+        assert main(["check", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: mismatch: 3:1: logical symbol '{name}' redeclared as a "
+            "parameter"), err
+
+    @pytest.mark.parametrize("name", ["max", "length", "height", "double"])
+    def test_lambda_parameter_named_like_a_logical_is_located(
+            self, mlg, capsys, name):
+        # it would shadow the symbol inside its post predicate's `let`
+        path = mlg("(*@ function double (x : int) : int = x + x *)\n\n"
+                   "let ap (k : int -> int) (x : int) : int = k x\n"
+                   "let f (l : int list) : int =\n"
+                   f"  ap (fun ({name} : int) : int -> {name} + 1) 2\n")
+        assert main(["check", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: mismatch: 5:7: logical symbol '{name}' redeclared as a "
+            "parameter"), err
+
 
 class TestNestingLimit:
     @pytest.mark.parametrize("body", [
@@ -83,15 +110,34 @@ class TestNestingLimit:
     ], ids=["and-60", "sum-tree", "tuple-1000"])
     def test_vc_generation_overflow_gets_diagnostic(self, mlg, tmp_path,
                                                     capsys, ret, body):
+        # wide but shallow definitions: VC generation's stack grows with
+        # their depth only, so they emit their VC
         path = mlg(f"let f (x : int) : {ret} = {body}\n"
                    "(*@ r = f x\n    ensures r = r *)\n")
         assert main(["check", path]) == 0
         code = main(["emit", path, "--format", "smt2",
                      "-o", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "prog_vcs" / "vc_f_0.smt2").exists()
+
+    @pytest.mark.parametrize("body", [
+        "let t = (" + ", ".join(["pos x"] * 1000) + ") in x",
+        "let y : int = x + 1 in match y with"
+        + "".join(f" | {i} -> {i}" for i in range(1200)) + " | _ -> 0 end",
+    ], ids=["calls-1000", "tail-match-1200"])
+    def test_deep_vc_never_crashes(self, mlg, tmp_path, capsys, body):
+        # each contract call binds its result around the rest of the VC,
+        # and each arm of a tail match is guarded by the negations of all
+        # earlier arms: both formulas nest as wide as the definition
+        path = mlg("let pos (x : int) : int = x\n"
+                   "(*@ r = pos x\n    requires 0 <= x\n    ensures r = x *)\n"
+                   f"let f (x : int) : int = {body}\n"
+                   "(*@ r = f x\n    ensures r = x *)\n")
+        code = main(["emit", path, "--format", "smt2",
+                     "-o", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        # a VC generator with less stack per subterm may handle these
         assert code == 0 or re.match(
-            r"error: nesting-too-deep: 1:1: definition 'f' is too large "
+            r"error: nesting-too-deep: 5:1: definition 'f' is too large "
             r"for VC generation", err), err
 
 

@@ -12,7 +12,7 @@ import pytest
 from defun.interp import VConstr, eval_ho
 from defun.syntax import (
     FBinOp, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, Forall,
-    FVar, Not, TrueP, TBool, TInt, TNamed,
+    FVar, Not, TrueP, TBool, TInt, TNamed, walk,
 )
 from defun.vcgen import (
     SmtEmitter, emit_smt, generate_vcs, pattern_cond, run_solver,
@@ -108,7 +108,9 @@ KNOWN_HEADS = {
 
 # ---------------------------------------------------------------------------
 # Closedness: every symbol of a file is an SMT-LIB builtin, a numeral,
-# declared by an earlier command of the same file, or bound around it.
+# declared by an earlier command of the same file, or bound around it; no
+# symbol is declared twice, and no application lacks arguments (SMT-LIB 2.6
+# has only `( <qual_identifier> <term>+ )`).
 
 BUILTIN_SORTS = {"Int", "Bool"}
 BUILTIN_FUNS = {
@@ -117,10 +119,18 @@ BUILTIN_FUNS = {
 }
 
 
-def unbound_symbols(text: str) -> list[str]:
-    """The symbols of an SMT-LIB2 file that nothing declares or binds
-    before their use, in order of appearance; empty for a closed file."""
+def scope_errors(text: str) -> list[str]:
+    """The faults of an SMT-LIB2 file, in order of appearance: a symbol
+    that nothing declares or binds before its use, `(f)` for an
+    application of `f` to no arguments, and `redeclared f`; empty for a
+    closed file."""
     sorts, funs, bad = set(BUILTIN_SORTS), set(BUILTIN_FUNS), []
+
+    def declare(names, into=funs):
+        for n in names:
+            if n in into:
+                bad.append(f"redeclared {n}")
+            into.add(n)
 
     def sort(s, params=()):
         if isinstance(s, str):
@@ -137,6 +147,8 @@ def unbound_symbols(text: str) -> list[str]:
                 bad.append(t)
             return
         head, *args = t
+        if not args:
+            bad.append(f"({head})")
         if isinstance(head, list):  # ((_ is C) x)
             assert head[:2] == ["_", "is"], head
             term(head[2], bound)
@@ -164,32 +176,32 @@ def unbound_symbols(text: str) -> list[str]:
     for form in parse_sexprs(text):
         head, *args = form
         if head == "declare-datatypes":
-            sorts.update(n for n, _ in args[0])
+            declare((n for n, _ in args[0]), sorts)
             for body in args[1]:
                 params = ()
                 if body[0] == "par":
                     params, body = set(body[1]), body[2]
                 for ctor, *sels in body:
-                    funs.add(ctor)
+                    declare([ctor])
                     for sel, s in sels:
                         sort(s, params)
-                        funs.add(sel)
+                        declare([sel])
         elif head == "declare-fun":
             for s in args[1]:
                 sort(s)
             sort(args[2])
-            funs.add(args[0])
+            declare([args[0]])
         elif head == "declare-const":
             sort(args[1])
-            funs.add(args[0])
+            declare([args[0]])
         elif head == "define-fun":
             define(*args)
-            funs.add(args[0])
+            declare([args[0]])
         elif head == "define-fun-rec":
-            funs.add(args[0])
+            declare([args[0]])
             define(*args)
         elif head == "define-funs-rec":
-            funs.update(sig[0] for sig in args[0])
+            declare(sig[0] for sig in args[0])
             for sig, body in zip(args[0], args[1]):
                 define(*sig, body)
         elif head == "assert":
@@ -300,30 +312,47 @@ class TestClosedFiles:
     def test_corpus(self, emitted):
         for d in emitted.values():
             for path in sorted(d.glob("*.smt2")):
-                assert unbound_symbols(path.read_text()) == [], path.name
+                assert scope_errors(path.read_text()) == [], path.name
 
     def test_generated_programs(self):
         for seed in range(200):
             for name, text in smt_files(gen_program(seed)).items():
-                assert unbound_symbols(text) == [], (seed, name)
+                assert scope_errors(text) == [], (seed, name)
 
     def test_ladders(self):
         for n in range(2, 13):
             for name, text in smt_files(ladder_source(n, [5] * n)).items():
-                assert unbound_symbols(text) == [], (n, name)
+                assert scope_errors(text) == [], (n, name)
 
     def test_checker_flags_a_missing_definition(self, emitted):
         text = (emitted["height.mlg"] / "vc_height_tree_0.smt2").read_text()
         assert "(define-fun max " in text
         cut = "".join(line for line in text.splitlines(keepends=True)
                       if not line.startswith("(define-fun max "))
-        assert set(unbound_symbols(cut)) == {"max"}
+        assert set(scope_errors(cut)) == {"max"}
 
     def test_checker_flags_a_binder_out_of_scope(self):
         text = ("(set-logic ALL)\n(declare-const a Int)\n"
                 "(assert (forall ((b Int)) (= a b)))\n"
                 "(assert (let ((c a)) (= c b)))\n(check-sat)\n")
-        assert unbound_symbols(text) == ["b"]
+        assert scope_errors(text) == ["b"]
+
+    def test_checker_flags_an_application_without_arguments(self):
+        text = ("(set-logic ALL)\n(declare-fun absurd-Int () Int)\n"
+                "(assert (= (absurd-Int) absurd-Int))\n(check-sat)\n")
+        assert scope_errors(text) == ["(absurd-Int)"]
+
+    def test_checker_flags_a_symbol_declared_twice(self):
+        text = ("(set-logic ALL)\n"
+                "(declare-datatypes ((IntList 0)) (((Nil) (Cons (Cons_0 Int) "
+                "(Cons_1 IntList)))))\n"
+                "(define-fun-rec length ((l IntList)) Int (ite ((_ is Nil) l) "
+                "0 (+ 1 (length (Cons_1 l)))))\n"
+                "(declare-const length Int)\n"
+                "(declare-datatypes ((IntList 0)) (((Empty))))\n"
+                "(assert (= length 0))\n(check-sat)\n")
+        assert scope_errors(text) == [
+            "redeclared length", "redeclared IntList"]
 
 
 class TestPruning:
@@ -365,7 +394,7 @@ let k (x : int) : int = f x
     def test_lemma_hypothesis_keeps_its_symbols(self):
         text = smt_files(self.PROGRAM)["vc_k_0"]
         assert "(assert (forall ((x Int)) (= (double x) (* 2 x))))" in text
-        assert unbound_symbols(text) == []
+        assert scope_errors(text) == []
         # a logical that no hypothesis mentions is left out
         assert "triple" not in declared(text)
 
@@ -375,7 +404,7 @@ let k (x : int) : int = f x
             "let k (x : int) : int = f x + unrelated Red"))["vc_k_0"]
         assert declared(text) == ["color", "absurd-Int", "double",
                                   "unrelated", "h", "g", "f"]
-        assert unbound_symbols(text) == []
+        assert scope_errors(text) == []
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +749,32 @@ let f (a : int) (b : int) : int =
         t, vcs = vcs_of(broken)
         (pre,) = [vc for vc in vcs if vc.kind == "precondition-at-call"]
         assert not valid(t, pre, ints)
+
+
+class TestNestedJoins:
+    """A branching node inside a join branch is a value too: it joins
+    again, through its own binder, instead of splitting the branch."""
+
+    PROGRAM = """\
+let h (a : int) (b : int) : int =
+  let y : int = if a < 0 then (if b < 0 then 0 else b) + 1 else a in
+  y
+(*@ r = h a b
+      ensures 0 <= r *)
+"""
+
+    def test_inner_branch_joins_once_inside_the_outer_fact(self):
+        t, (vc,) = vcs_of(self.PROGRAM)
+        binders = [n for f in walk(vc.goal) if type(f) is Forall
+                   for n, _ in f.binders]
+        assert binders == ["join_0", "join_1"]
+        # join_1 is bound inside join_0's fact, in the `a < 0` branch
+        (outer,) = [f for f in walk(vc.goal) if type(f) is Forall
+                    and f.binders[0][0] == "join_0"]
+        fact, rest = outer.body.left, outer.body.right
+        assert "join_1" in str(fact) and "join_1" not in str(rest)
+        assert all_valid(self.PROGRAM)
+        assert not all_valid(with_ensures(self.PROGRAM, "1 <= r"))
 
 
 class TestFreshBinders:
