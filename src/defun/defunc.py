@@ -5,17 +5,20 @@ rewrite the whole program into first-order form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import Loc, TransformError
-from .specs import expand_post_meta, passthrough_lemma, subst_formula, translate_spec
+from .specs import (
+    expand_post_meta, formula_names, passthrough_lemma, subst_formula,
+    translate_spec,
+)
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, Expr, ExprStmt,
-    FBinOp, FConstr, FLet, FLogicApp, FVar, Forall, Formula, If, IntLit,
-    LemmaDecl, LetDef, LetIn, Lambda, Match, NilLit, PCons, PConstr, PInt,
-    PNil, PTuple, PVar, PWild, Pattern, Program, Seq, Spec, TArrow, TNamed,
-    TTuple, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, all_identifiers, conj,
-    free_vars, int_list, int_tree, map_children, walk, walk_scoped, INT,
+    Absurd, App, ConstructorApp, Expr, ExprStmt, FBinOp, FConstr, FLet,
+    FLogicApp, FVar, Forall, Formula, LemmaDecl, LetDef, LetIn, Lambda, Match,
+    PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, Pattern, Program, Spec,
+    TArrow, TNamed, TTuple, TrueP, Ty, TypeDecl, Var, all_identifiers, arrow,
+    conj, contains_arrow, free_vars, int_list, int_tree, map_children, walk,
+    walk_scoped, INT,
 )
 from .typecheck import Checker
 
@@ -38,7 +41,6 @@ class LambdaSite:
 @dataclass
 class KontFamily:
     arrow_ty: TArrow
-    index: int
     kont_name: str
     apply_name: str
     post_name: str
@@ -88,16 +90,20 @@ class _FnInfo:
     arity: int
     is_rec: bool
     bypassed: bool
-    toplevel: bool
-    ctor: str | None = None  # outer eta-site constructor if value-used
 
 
 class Defunctionalizer:
-    """Transforms one curry-normalized, type-checked program."""
+    """Transforms one curry-normalized, type-checked program.
+
+    Names are resolved once: `scan` walks each top-level item with the
+    names bound around every node, and records in `direct` each `Var` that
+    denotes a top-level function rather than a local of the same name.
+    The rewrite reads that record and never decides by name."""
 
     def __init__(self, program: Program, checker: Checker):
         self.program = program
         self.env = checker.env
+        self.expand = checker.env.expand
         self.taken = all_identifiers(program)
         self.toplevel_names = {item.name for item in program.items
                                if isinstance(item, LetDef)}
@@ -106,8 +112,13 @@ class Defunctionalizer:
         self.families: list[KontFamily] = []
         self.family_by_ty: dict[Ty, KontFamily] = {}
         self.fns: dict[str, _FnInfo] = {}  # direct functions, by name
+        # id(Var node) -> the direct function it denotes; keyed by nodes of
+        # the source program and of the eta chains, which stay alive
+        self.direct: dict[int, _FnInfo] = {}
         self.value_used: set[str] = set()
         self.eta_chains: dict[str, Lambda] = {}
+        # every type `rewrite_ty` returned, keyed by its input and by itself
+        self.rewritten: dict[Ty, Ty] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -120,9 +131,6 @@ class Defunctionalizer:
 
     # -- type helpers ------------------------------------------------------
 
-    def expand(self, ty: Ty) -> Ty:
-        return self.env.expand(ty)
-
     def family_for(self, ty: Ty, loc=None) -> KontFamily:
         key = self.expand(ty)
         fam = self.family_by_ty.get(key)
@@ -133,152 +141,139 @@ class Defunctionalizer:
         return fam
 
     def rewrite_ty(self, ty: Ty, loc=None, lenient=False) -> Ty:
-        # idempotent: already-rewritten kont types pass through untouched
-        if isinstance(ty, TNamed) and any(
-                f.kont_name == ty.name for f in self.family_by_ty.values()):
-            return ty
-        ty = self.expand(ty)
-        if isinstance(ty, TArrow):
-            fam = self.family_by_ty.get(ty)
-            if fam is None:
-                if lenient:
-                    return ty
-                raise TransformError(
-                    "no-family",
-                    f"no functions of this type are defined: {ty}", loc)
-            return fam.kont_ty
-        if isinstance(ty, TNamed):
-            return TNamed(ty.name,
-                          tuple(self.rewrite_ty(a, loc, lenient) for a in ty.args))
-        if isinstance(ty, TTuple):
-            return TTuple(tuple(self.rewrite_ty(t, loc, lenient) for t in ty.items))
-        return ty
+        """`ty` with every arrow replaced by its family's kont type; a
+        `lenient` rewrite keeps an arrow that has no family.  A rewritten
+        type rewrites to itself, so the kont types pass through again."""
+        out = self.rewritten.get(ty)
+        if out is not None:
+            return out
+        ex = self.expand(ty)
+        if type(ex) is TArrow:
+            if lenient and ex not in self.family_by_ty:
+                return ex
+            out = self.family_for(ex, loc).kont_ty
+        else:
+            out = map_children(
+                ex, lambda t: self.rewrite_ty(t, loc, lenient))
+            if lenient and contains_arrow(out):
+                return out
+        self.rewritten[ty] = self.rewritten[out] = out
+        return out
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> TargetProgram:
-        self.scan_functions()
-        self.scan_value_uses()
-        self.collect_sites()
+        scanned = []
+        for item in self.program.items:
+            if isinstance(item, LetDef) and item.params:
+                self.fns[item.name] = _FnInfo(
+                    len(item.params), item.is_rec,
+                    bool(item.spec and item.spec.requires))
+            if isinstance(item, (LetDef, ExprStmt)):
+                scanned.append((item, self.scan(item)))
+        # sites are numbered once every value use is known: a use in a
+        # later item puts an earlier item's eta chain first
+        for item, lambdas in scanned:
+            if isinstance(item, LetDef) and item.name in self.value_used:
+                self.add_eta_chain(item)
+            for lam, bound in lambdas:
+                self.add_site(lam, bound)
         self.build_families()
         return self.rewrite_program()
 
-    # -- pass 1: direct functions and the bypass rule ----------------------
+    # -- name resolution ---------------------------------------------------
 
-    def scan_functions(self):
-        for item in self.program.items:
-            if isinstance(item, LetDef) and item.params:
-                bypassed = bool(item.spec and item.spec.requires)
-                self.fns[item.name] = _FnInfo(
-                    len(item.params), item.is_rec, bypassed, toplevel=True)
-
-    def bypass_set(self) -> set[str]:
-        return {n for n, info in self.fns.items() if info.bypassed}
-
-    # -- pass 2: which named functions are used as first-class values ------
-
-    def scan_value_uses(self):
-        # a named function is used as a value unless it heads an
-        # application to all of its arguments; pre-order reaches every App
-        # of a spine before its head
-        fns = self.fns
+    def scan(self, root) -> list:
+        """One scoped walk over `root`: records each `Var` that names a
+        direct function, marks the functions used as first-class values,
+        and returns the lambdas under `root`, in pre-order, each with the
+        names bound around it.  A function is used as a value unless it
+        heads an application to all of its arguments; pre-order reaches
+        every App of a spine before its head."""
+        fns, direct = self.fns, self.direct
         applied: dict[int, int] = {}  # id(node) -> arguments applied to it
-        for item in self.program.items:
-            if not isinstance(item, (LetDef, ExprStmt)):
-                continue
-            root = item.body if isinstance(item, LetDef) else item.expr
-            for e, shadowed in walk_scoped(root):
-                if type(e) is App:
-                    applied[id(e.fn)] = applied.get(id(e), 0) + 1
-                elif (type(e) is Var and e.name in fns
-                      and e.name not in shadowed
-                      and applied.get(id(e), 0) < fns[e.name].arity):
-                    self.mark_value_use(e)
+        lambdas = []
+        for e, bound in walk_scoped(root):
+            cls = type(e)
+            if cls is App:
+                applied[id(e.fn)] = applied.get(id(e), 0) + 1
+            elif cls is Lambda:
+                lambdas.append((e, bound))
+            elif cls is Var and e.name in fns and e.name not in bound:
+                info = direct[id(e)] = fns[e.name]
+                if applied.get(id(e), 0) < info.arity:
+                    if info.bypassed:
+                        raise TransformError(
+                            "exempt-as-value",
+                            f"function {e.name!r} carries a precondition and "
+                            "cannot be used as a first-class value", e.loc)
+                    if info.is_rec:
+                        raise TransformError(
+                            "no-family",
+                            f"recursive function {e.name!r} cannot be used "
+                            "as a first-class value; no functions of this "
+                            "type are defined", e.loc)
+                    self.value_used.add(e.name)
+        return lambdas
 
-    def mark_value_use(self, head: Var):
-        info = self.fns[head.name]
-        if info.bypassed:
-            raise TransformError(
-                "exempt-as-value",
-                f"function {head.name!r} carries a precondition and cannot "
-                "be used as a first-class value", head.loc)
-        if info.is_rec:
-            raise TransformError(
-                "no-family",
-                f"recursive function {head.name!r} cannot be used as a "
-                "first-class value; no functions of this type are defined",
-                head.loc)
-        self.value_used.add(head.name)
+    # -- lambda sites ------------------------------------------------------
 
-    # -- pass 3: lambda sites ----------------------------------------------
-
-    def collect_sites(self):
-        for item in self.program.items:
-            if isinstance(item, LetDef):
-                if item.name in self.value_used:
-                    self.collect_eta_chain(item)
-                self.collect_in(item.body)
-            elif isinstance(item, ExprStmt):
-                self.collect_in(item.expr)
-
-    def collect_eta_chain(self, d: LetDef):
+    def add_eta_chain(self, d: LetDef):
         """Synthesize `fun p1 -> ... -> g p1 ... pn` for a named non-rec
         function used as a value, and register its curried sites."""
+        # a parameter named like the function would shadow it in the call
+        params = [(self.gen_name(n) if n == d.name else n, t)
+                  for n, t in d.params]
         call: Expr = Var(d.name, ty=d.arrow_ty(), loc=d.loc)
-        for n, t in d.params:
-            pv = Var(n, ty=t, loc=d.loc)
-            call = App(call, pv, ty=call.ty.result, loc=d.loc)
+        for n, t in params:
+            call = App(call, Var(n, ty=t, loc=d.loc), ty=call.ty.result,
+                       loc=d.loc)
         lam: Expr = call
         ret = d.ret
-        for i in range(len(d.params) - 1, -1, -1):
-            lam = Lambda(None, [d.params[i]], ret, lam,
-                         chain=list(d.params[:i]), loc=d.loc)
-            ret = TArrow(d.params[i][1], ret)
+        for i in range(len(params) - 1, -1, -1):
+            lam = Lambda(None, [params[i]], ret, lam,
+                         chain=list(params[:i]), loc=d.loc)
+            ret = TArrow(params[i][1], ret)
             lam.ty = ret
         self.eta_chains[d.name] = lam
-        self.collect_in(lam)
-        self.fns[d.name].ctor = self.site_of[id(lam)].ctor_name
+        for sub, bound in self.scan(lam):
+            self.add_site(sub, bound)
 
-    def collect_in(self, e: Expr):
-        for lam in walk(e):
-            if type(lam) is Lambda:
-                if lam.spec and lam.spec.requires:
-                    # a lambda is always a first-class value, so a requires
-                    # clause on one can never be bypassed
-                    raise TransformError(
-                        "exempt-as-value",
-                        "a lambda with a precondition cannot be used as a "
-                        "first-class value", lam.loc)
-                self.add_site(lam)
-
-    def add_site(self, lam: Lambda):
+    def add_site(self, lam: Lambda, bound):
+        if lam.spec and lam.spec.requires:
+            # a lambda is always a first-class value, so a requires clause
+            # on one can never be bypassed
+            raise TransformError(
+                "exempt-as-value",
+                "a lambda with a precondition cannot be used as a "
+                "first-class value", lam.loc)
         assert len(lam.params) == 1, "lambdas must be curry-normalized"
         arrow_ty = self.expand(lam.ty)
-        if not isinstance(arrow_ty, TArrow):
+        if type(arrow_ty) is not TArrow:
             raise AssertionError("lambda without an arrow type")
-        captured = self.captured_of(lam)
         site = LambdaSite(
             id=len(self.sites), arrow_ty=arrow_ty, param=lam.params[0],
-            body=lam.body, captured=captured, spec=lam.spec, origin=lam.loc)
+            body=lam.body, captured=self.captured_of(lam, bound),
+            spec=lam.spec, origin=lam.loc)
         site.ctor_name = self.gen_name(f"K{site.id}")
         self.sites.append(site)
         self.site_of[id(lam)] = site
 
-    def captured_of(self, lam: Lambda) -> list:
-        """Free variables of the lambda, minus global names.  Variables
-        free in the original surface lambda come first, in occurrence
-        order; parameters of the same curry chain follow, in parameter
-        order (this reproduces the constructor argument order of curried
+    def captured_of(self, lam: Lambda, bound) -> list:
+        """Free variables of the lambda that are locals bound around it
+        (`bound`); top-level names are not captured.  Variables free in
+        the original surface lambda come first, in occurrence order;
+        parameters of the same curry chain follow, in parameter order
+        (this reproduces the constructor argument order of curried
         translations)."""
-        fv = [(n, t) for n, t in free_vars(lam)
-              if n not in self.toplevel_names]
+        fv = [(n, t) for n, t in free_vars(lam) if n in bound]
         chain_names = [n for n, _ in lam.chain]
         outer = [(n, t) for n, t in fv if n not in chain_names]
         from_chain = [(n, t) for n, t in lam.chain
                       if any(m == n for m, _ in fv)]
         return outer + from_chain
 
-    # -- pass 4: families --------------------------------------------------
+    # -- families ----------------------------------------------------------
 
     def build_families(self):
         for site in self.sites:
@@ -286,7 +281,7 @@ class Defunctionalizer:
             if fam is None:
                 idx = len(self.families)
                 fam = KontFamily(
-                    arrow_ty=site.arrow_ty, index=idx,
+                    arrow_ty=site.arrow_ty,
                     kont_name=self.gen_name(f"kont{idx}"),
                     apply_name=self.gen_name(f"apply{idx}"),
                     post_name=self.gen_name(f"post{idx}"))
@@ -294,31 +289,31 @@ class Defunctionalizer:
                 self.family_by_ty[site.arrow_ty] = fam
             fam.sites.append(site)
 
-    # -- pass 5: rewriting -------------------------------------------------
+    # -- rewriting ---------------------------------------------------------
 
     def rewrite_program(self) -> TargetProgram:
         source_types, items, lemmas = [], [], []
-        resolver = self.family_for
         for item in self.program.items:
             if isinstance(item, TypeDecl):
                 source_types.append(self.rewrite_typedecl(item))
             elif isinstance(item, LetDef):
                 items.append(self.rewrite_letdef(item))
             elif isinstance(item, LemmaDecl):
-                lem = passthrough_lemma(item, resolver)
+                lem = passthrough_lemma(item, self.family_for)
                 lemmas.append(LemmaDecl(
                     lem.name, self.rewrite_formula_tys(lem.formula),
                     loc=lem.loc))
             elif isinstance(item, ExprStmt):
                 items.append(ExprStmt(self.rewrite(item.expr), loc=item.loc))
         kont_decls = [self.kont_decl(f) for f in self.families]
-        post_defs = [self.synthesize_post(f) for f in self.families]
-        apply_defs = [self.synthesize_apply(f) for f in self.families]
+        synthesized = [self.synthesize(f) for f in self.families]
         return TargetProgram(
             source_types=source_types, kont_decls=kont_decls,
-            post_defs=post_defs, apply_defs=apply_defs, items=items,
+            post_defs=[post for post, _ in synthesized],
+            apply_defs=[apply for _, apply in synthesized], items=items,
             lemmas=lemmas, families=self.families,
-            prelude=list(self.program.prelude), bypassed=self.bypass_set(),
+            prelude=list(self.program.prelude),
+            bypassed={n for n, info in self.fns.items() if info.bypassed},
             names=self.taken)
 
     def rewrite_formula_tys(self, f: Formula) -> Formula:
@@ -361,13 +356,13 @@ class Defunctionalizer:
 
     def _family_param_names(self, fam: KontFamily):
         """Names for the k/arg/result binders of a family's apply and post,
-        fresh with respect to everything captured or mentioned in its arms."""
-        avoid = set()
+        fresh with respect to the top-level names and everything captured
+        or mentioned in its arms."""
+        avoid = set(self.toplevel_names)
         for s in fam.sites:
             avoid.update(n for n, _ in s.captured)
             avoid.add(s.param[0])
             if s.spec:
-                from .specs import formula_names
                 for f in s.spec.requires + s.spec.ensures:
                     avoid.update(formula_names(f))
 
@@ -380,210 +375,152 @@ class Defunctionalizer:
 
         return pick("k"), pick("arg"), pick("result")
 
-    def synthesize_apply(self, fam: KontFamily) -> LetDef:
+    def synthesize(self, fam: KontFamily) -> tuple[PredDef, LetDef]:
+        """A family's post predicate and apply function.  Both match on the
+        kont value with one arm per constructor, and bind the lambda's
+        parameter to the argument."""
         k, arg, result = self._family_param_names(fam)
         arg_ty = self.rewrite_ty(fam.arrow_ty.param)
         res_ty = self.rewrite_ty(fam.arrow_ty.result)
-        arms = []
+        post_arms, apply_arms = [], []
         for s in fam.sites:
             pat = PConstr(s.ctor_name,
                           [PVar(n, self.rewrite_ty(t, s.origin))
                            for n, t in s.captured])
-            body = LetIn(
-                LetDef(False, s.param[0], [],
-                       self.rewrite_ty(s.param[1], s.origin),
-                       Var(arg, ty=arg_ty)),
-                self.rewrite(s.body), ty=res_ty)
-            arms.append((pat, body))
-        body = Match(Var(k, ty=fam.kont_ty), arms, ty=res_ty)
+            post_arms.append(
+                (pat, FLet(s.param[0], FVar(arg), self.site_post(s, result))))
+            param = LetDef(False, s.param[0], [],
+                           self.rewrite_ty(s.param[1], s.origin),
+                           Var(arg, ty=arg_ty))
+            apply_arms.append(
+                (pat, LetIn(param, self.rewrite(s.body), ty=res_ty)))
+        post = PredDef(fam.post_name, k, fam.kont_ty, arg, arg_ty,
+                       result, res_ty, post_arms)
         # the ensures clause names the returned value `result`, the
         # conventional post-state name, regardless of the post binder
         spec = Spec(ensures=[FLogicApp(fam.post_name,
                                        [FVar(k), FVar(arg), FVar("result")])])
-        return LetDef(True, fam.apply_name,
-                      [(k, fam.kont_ty), (arg, arg_ty)], res_ty, body,
-                      spec=spec)
+        apply = LetDef(True, fam.apply_name,
+                       [(k, fam.kont_ty), (arg, arg_ty)], res_ty,
+                       Match(Var(k, ty=fam.kont_ty), apply_arms, ty=res_ty),
+                       spec=spec)
+        return post, apply
 
-    def synthesize_post(self, fam: KontFamily) -> PredDef:
-        k, arg, result = self._family_param_names(fam)
-        arg_ty = self.rewrite_ty(fam.arrow_ty.param)
-        res_ty = self.rewrite_ty(fam.arrow_ty.result)
-        arms = []
-        for s in fam.sites:
-            pat = PConstr(s.ctor_name,
-                          [PVar(n, self.rewrite_ty(t, s.origin))
-                           for n, t in s.captured])
-            if s.spec and s.spec.ensures:
-                ensures = []
-                for f in s.spec.ensures:
-                    g = f
-                    if s.spec.arg_names:
-                        g = subst_formula(
-                            g, {s.spec.arg_names[0]: FVar(s.param[0])})
-                    if s.spec.result_names:
-                        g = subst_formula(
-                            g, {s.spec.result_names[0]: FVar(result)})
-                    elif result != "result":
-                        g = subst_formula(g, {"result": FVar(result)})
-                    ensures.append(self.rewrite_formula_tys(
-                        expand_post_meta(g, self.family_for)))
-                formula = conj(ensures)
-            elif (isinstance(s.body, Lambda)
-                  and id(s.body) in self.site_of):
-                # an unannotated curried lambda returns the next closure in
-                # the chain, so its post states the constructor equation
-                inner = self.site_of[id(s.body)]
-                formula = FBinOp("=", FVar(result),
-                                 FConstr(inner.ctor_name,
-                                         [FVar(n) for n, _ in inner.captured]))
-            else:
-                formula = TrueP()
-            arms.append((pat, FLet(s.param[0], FVar(arg), formula)))
-        return PredDef(fam.post_name, k, fam.kont_ty, arg, arg_ty,
-                       result, res_ty, arms)
+    def site_post(self, s: LambdaSite, result: str) -> Formula:
+        """The post arm of one site, with the result named `result`."""
+        if s.spec and s.spec.ensures:
+            ensures = []
+            for f in s.spec.ensures:
+                g = f
+                if s.spec.arg_names:
+                    g = subst_formula(
+                        g, {s.spec.arg_names[0]: FVar(s.param[0])})
+                if s.spec.result_names:
+                    g = subst_formula(
+                        g, {s.spec.result_names[0]: FVar(result)})
+                elif result != "result":
+                    g = subst_formula(g, {"result": FVar(result)})
+                ensures.append(self.rewrite_formula_tys(
+                    expand_post_meta(g, self.family_for)))
+            return conj(ensures)
+        inner = self.site_of.get(id(s.body))
+        if inner is not None:
+            # an unannotated curried lambda returns the next closure in
+            # the chain, so its post states the constructor equation
+            return FBinOp("=", FVar(result),
+                          FConstr(inner.ctor_name,
+                                  [FVar(n) for n, _ in inner.captured]))
+        return TrueP()
 
     # -- expression rewriting ---------------------------------------------
 
     def rewrite(self, e: Expr) -> Expr:
-        fns = self.fns
-
-        def head_and_args(e):
-            args = []
-            while isinstance(e, App):
-                args.append(e.arg)
-                e = e.fn
-            return e, list(reversed(args))
-
-        def apply_chain(fn_expr: Expr, fn_ty: Ty, args: list, loc) -> Expr:
-            out = fn_expr
-            ty = self.expand(fn_ty)
-            for a in args:
-                fam = self.family_for(ty, loc)
-                a2 = go(a)
-                res_ty = self.rewrite_ty(ty.result, loc)
-                out = App(
-                    App(Var(fam.apply_name,
-                            ty=TArrow(fam.kont_ty,
-                                      TArrow(self.rewrite_ty(ty.param, loc),
-                                             res_ty))),
-                        out, ty=TArrow(self.rewrite_ty(ty.param, loc), res_ty)),
-                    a2, ty=res_ty, loc=loc)
-                ty = self.expand(ty.result)
-            return out
-
-        def lambda_value(lam: Lambda) -> Expr:
-            site = self.site_of[id(lam)]
-            fam = self.family_for(site.arrow_ty, lam.loc)
-            args = [Var(n, ty=self.rewrite_ty(t, lam.loc))
-                    for n, t in site.captured]
-            return ConstructorApp(site.ctor_name, args,
-                                  ty=fam.kont_ty, loc=lam.loc)
-
-        def named_value(v: Var) -> Expr:
-            info = fns[v.name]
-            if info.bypassed:
+        cls = type(e)
+        if cls is App:
+            head, args = e, []
+            while type(head) is App:
+                args.append(head.arg)
+                head = head.fn
+            args.reverse()
+            info = self.direct.get(id(head))
+            if info is not None and len(args) >= info.arity:
+                return self.direct_call(head, info, args, e.loc)
+            return self.apply_chain(self.rewrite(head), head.ty, args, e.loc)
+        if cls is Var:
+            if id(e) in self.direct:
+                return self.lambda_value(self.eta_chains[e.name])
+            return Var(e.name, ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
+        if cls is Lambda:
+            return self.lambda_value(e)
+        if cls is LetIn:
+            d = e.defn
+            if d.params:
                 raise TransformError(
-                    "exempt-as-value",
-                    f"function {v.name!r} carries a precondition and cannot "
-                    "be used as a first-class value", v.loc)
-            if info.is_rec:
-                raise TransformError(
-                    "no-family",
-                    f"recursive function {v.name!r} cannot be used as a "
-                    "first-class value; no functions of this type are defined",
-                    v.loc)
-            lam = self.eta_chains[v.name]
-            return lambda_value(lam)
+                    "unsupported",
+                    "local function definitions are not supported by the "
+                    "converter; bind a lambda instead", d.loc)
+            nd = LetDef(d.is_rec, d.name, [],
+                        self.rewrite_ty(d.ret, d.loc), self.rewrite(d.body),
+                        loc=d.loc)
+            return LetIn(nd, self.rewrite(e.body),
+                         ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
+        if cls is Match:
+            scrut = self.rewrite(e.scrutinee)
+            arms = [(self.rewrite_pattern(p), self.rewrite(b))
+                    for p, b in e.arms]
+            res_ty = self.rewrite_ty(e.ty, e.loc)
+            absurd = e.absurd
+            if not self.is_exhaustive(e):
+                arms.append((PWild(), Absurd(ty=res_ty, loc=e.loc)))
+                absurd = True
+            return Match(scrut, arms, absurd=absurd, ty=res_ty, loc=e.loc)
+        # the other nodes bind nothing and are rebuilt with their type
+        # rewritten
+        out = map_children(e, self.rewrite)
+        ty = self.rewrite_ty(e.ty, e.loc)
+        return out if ty == out.ty else replace(out, ty=ty)
 
-        def go(e: Expr) -> Expr:
-            if isinstance(e, App):
-                head, args = head_and_args(e)
-                if isinstance(head, Var) and head.name in fns:
-                    info = fns[head.name]
-                    if len(args) >= info.arity:
-                        # a direct-call head is not a first-class value, so
-                        # its arrow type is rewritten structurally rather
-                        # than mapped to a kont family
-                        ty = self.expand(head.ty)
-                        param_tys = []
-                        rest = ty
-                        for _ in range(info.arity):
-                            param_tys.append(rest.param)
-                            rest = self.expand(rest.result)
-                        res_ty = self.rewrite_ty(rest, e.loc,
-                                                 lenient=info.bypassed)
+    def direct_call(self, head: Var, info: _FnInfo, args: list, loc) -> Expr:
+        """A call of a direct function, then `apply` for the arguments past
+        its arity.  The head is not a first-class value, so its arrow type
+        is rewritten structurally rather than mapped to a kont family."""
+        rest = self.expand(head.ty)
+        params = []
+        for _ in range(info.arity):
+            params.append(rest.param)
+            rest = self.expand(rest.result)
+        tys = [self.rewrite_ty(p, head.loc, info.bypassed) for p in params]
+        tys.append(self.rewrite_ty(rest, loc, info.bypassed))
+        out = Var(head.name, ty=arrow(*tys), loc=head.loc)
+        for i, a in enumerate(args[:info.arity], 1):
+            out = App(out, self.rewrite(a), ty=arrow(*tys[i:]), loc=loc)
+        return self.apply_chain(out, rest, args[info.arity:], loc)
 
-                        def direct_ty(i):
-                            t = res_ty
-                            for p in reversed(param_tys[i:]):
-                                t = TArrow(self.rewrite_ty(
-                                    p, head.loc, lenient=info.bypassed), t)
-                            return t
+    def apply_chain(self, fn_expr: Expr, fn_ty: Ty, args: list, loc) -> Expr:
+        """`fn_expr a1 ... an` through the apply functions of the families
+        of the successive arrow types."""
+        out = fn_expr
+        ty = self.expand(fn_ty)
+        for a in args:
+            fam = self.family_for(ty, loc)
+            a2 = self.rewrite(a)
+            res_ty = self.rewrite_ty(ty.result, loc)
+            param_ty = self.rewrite_ty(ty.param, loc)
+            out = App(App(Var(fam.apply_name,
+                              ty=arrow(fam.kont_ty, param_ty, res_ty)),
+                          out, ty=TArrow(param_ty, res_ty)),
+                      a2, ty=res_ty, loc=loc)
+            ty = self.expand(ty.result)
+        return out
 
-                        out = Var(head.name, ty=direct_ty(0), loc=head.loc)
-                        for i, a in enumerate(args[:info.arity]):
-                            out = App(out, go(a), ty=direct_ty(i + 1),
-                                      loc=e.loc)
-                        if len(args) > info.arity:
-                            out = apply_chain(out, rest, args[info.arity:],
-                                              e.loc)
-                        return out
-                    head2 = named_value(head)
-                    return apply_chain(head2, head.ty, args, e.loc)
-                if isinstance(head, Lambda):
-                    return apply_chain(lambda_value(head), head.ty, args, e.loc)
-                return apply_chain(go(head), head.ty, args, e.loc)
-            if isinstance(e, Var):
-                if e.name in fns:
-                    return named_value(e)
-                return Var(e.name, ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, Lambda):
-                return lambda_value(e)
-            if isinstance(e, (UnitLit, IntLit, BoolLit, NilLit)):
-                return e
-            if isinstance(e, ConstructorApp):
-                return ConstructorApp(e.name, [go(a) for a in e.args],
-                                      ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, TupleE):
-                return TupleE([go(a) for a in e.items],
-                              ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, BinOp):
-                return BinOp(e.op, go(e.left), go(e.right), ty=e.ty, loc=e.loc)
-            if isinstance(e, Cons):
-                return Cons(go(e.head), go(e.tail), ty=e.ty, loc=e.loc)
-            if isinstance(e, Seq):
-                return Seq(go(e.first), go(e.second),
-                           ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, LetIn):
-                d = e.defn
-                if d.params:
-                    raise TransformError(
-                        "unsupported",
-                        "local function definitions are not supported by the "
-                        "converter; bind a lambda instead", d.loc)
-                nd = LetDef(d.is_rec, d.name, [],
-                            self.rewrite_ty(d.ret, d.loc), go(d.body),
-                            loc=d.loc)
-                return LetIn(nd, go(e.body),
-                             ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, Match):
-                scrut = go(e.scrutinee)
-                arms = [(self.rewrite_pattern(p), go(b)) for p, b in e.arms]
-                absurd = e.absurd
-                if not self.is_exhaustive(e):
-                    res_ty = self.rewrite_ty(e.ty, e.loc)
-                    arms.append((PWild(), Absurd(ty=res_ty)))
-                    absurd = True
-                return Match(scrut, arms, absurd=absurd,
-                             ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, If):
-                return If(go(e.cond), go(e.then), go(e.els),
-                          ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
-            if isinstance(e, Absurd):
-                return e
-            raise AssertionError(f"unhandled expr {e!r}")
-
-        return go(e)
+    def lambda_value(self, lam: Lambda) -> Expr:
+        """The constructor application that replaces a lambda."""
+        site = self.site_of[id(lam)]
+        fam = self.family_for(site.arrow_ty, lam.loc)
+        args = [Var(n, ty=self.rewrite_ty(t, lam.loc))
+                for n, t in site.captured]
+        return ConstructorApp(site.ctor_name, args,
+                              ty=fam.kont_ty, loc=lam.loc)
 
     def rewrite_pattern(self, p: Pattern) -> Pattern:
         if type(p) is PVar:
@@ -654,14 +591,6 @@ class Defunctionalizer:
 # Public entry points
 
 
-def collect_lambda_sites(program: Program, checker: Checker):
-    d = Defunctionalizer(program, checker)
-    d.scan_functions()
-    d.scan_value_uses()
-    d.collect_sites()
-    return d.sites
-
-
 def defunctionalize(program: Program, checker: Checker) -> TargetProgram:
     """Transform a curry-normalized, type-checked program."""
     return Defunctionalizer(program, checker).run()
@@ -673,7 +602,6 @@ def defunctionalize(program: Program, checker: Checker) -> TargetProgram:
 
 def assert_first_order(t: TargetProgram):
     """No arrow type may survive anywhere outside bypassed definitions."""
-    from .syntax import contains_arrow
 
     def check_ty(ty, what):
         if ty is not None and contains_arrow(ty):

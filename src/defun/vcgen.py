@@ -402,6 +402,7 @@ class SmtEmitter:
 
     def __init__(self, t: TargetProgram):
         self.used: set[str] = set()  # symbols met by the current rendering
+        self.names = t.names  # every identifier of the program
         # defined symbol -> its unit
         self.units: dict[str, _Unit] = dict(BUILTIN_UNITS)
         datatypes = [d for d in t.source_types + t.kont_decls
@@ -671,12 +672,23 @@ class SmtEmitter:
 
     # -- one file per VC ---------------------------------------------------
 
+    def local_name(self, n: str, env: dict) -> str:
+        """A name for the VC constant `n`, which a parameter shares with a
+        program symbol: fresh for the program and for this VC."""
+        s = n + "_g"
+        while s in self.units or s in self.names or s in env.values():
+            s += "_g"
+        return s
+
     def emit_vc(self, vc: VC) -> str:
         # the VC is rendered first: the declarations are those its
         # constants and assertions reach
         self.used = set()
         env = {n: n for n, _ in vc.binders}
-        consts = [f"(declare-const {n} {self.sort(t)})"
+        for n in env:
+            if n in self.units:
+                env[n] = self.local_name(n, env)
+        consts = [f"(declare-const {env[n]} {self.sort(t)})"
                   for n, t in vc.binders]
         try:
             hyps = [f"(assert {self.term(h, env)})" for h in vc.hypotheses]

@@ -2,7 +2,7 @@ import pytest
 
 from defun.defunc import (
     assert_apply_exhaustive, assert_capture_correct, assert_first_order,
-    collect_lambda_sites, defunctionalize,
+    defunctionalize,
 )
 from defun.errors import TransformError
 from defun.frontend import parse_program

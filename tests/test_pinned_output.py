@@ -26,8 +26,8 @@ from test_vcgen import ladder_source
 # Shapes the corpus and the generated programs do not reach: `requires`
 # checked at calls inside join branches, a call in an `if` condition, `;`,
 # two `ensures` clauses, `absurd` arms of a tail and a non-tail match and
-# of a spec-less function that becomes an SMT definition, and joins inside
-# join branches.
+# of a spec-less function that becomes an SMT definition, joins inside
+# join branches, and locals named like top-level functions.
 HANDWRITTEN = {
     "calls_in_joins": """\
 let pos (x : int) : int = x
@@ -103,6 +103,25 @@ let s (l : int list) (a : int) : int =
 (*@ r = s l a
       ensures 0 <= r *)
 """,
+    "shadowing": """\
+let f (x : int) : int = x + 1
+
+let k (x : int) : int = f x
+
+let h (g : int -> int) : int = g 1
+
+let g (f : int) : int = k f + h (fun (x : int) : int -> k x + f)
+(*@ r = g f
+      ensures r = 2 * f + 3 *)
+
+let s (l : int list) : int =
+  match l with
+  | [] -> h f
+  | f :: t -> let k : int = f + 1 in h (fun (x : int) : int -> x + k)
+  end
+(*@ r = s l
+      ensures 2 <= r *)
+""",
 }
 
 
@@ -129,7 +148,7 @@ FROZEN = {
     "ladders":
         "d2f1e37bd726c83cf37d67e0575aa19afaf8e17e401d20720506fe50cb0717ee",
     "handwritten":
-        "720dc5339573e34f6287e80e29af9e155ed3eb54b2f5a36888996a9c038f9e1e",
+        "7a7f629509d76dd7fbeba5b348c55518662c8334ce66dd329a65c0a4b2f87713",
 }
 
 

@@ -81,6 +81,63 @@ class TestProgramNamesAvoidLogicalSymbols:
             "parameter"), err
 
 
+FN_AND_HOF = ("let f (x : int) : int = x + 1\n"
+              "let h (k : int -> int) : int = k 1\n")
+
+
+class TestLocalsShadowFunctions:
+    """A local named like the top-level function `f` denotes the local:
+    it is neither a function value nor left out of a lambda's captures."""
+
+    @pytest.mark.parametrize("defn, kept", [
+        ("let g (f : int) : int = f + h (fun (x : int) : int -> x)",
+         "= (f + (h K0))"),
+        ("let g (y : int) : int = let f = y in f + h (fun (x : int) : int -> x)",
+         "= let f = y in (f + (h K0))"),
+        ("let g (y : int) : int = h (fun (f : int) : int -> f + y)",
+         "| K0 y -> let f = arg in (f + y)"),
+        ("let g (l : int list) : int =\n"
+         "  match l with | [] -> h (fun (x : int) : int -> x) | f :: t -> f end",
+         "| Cons f t -> f"),
+        ("let g (f : int) : int = h (fun (x : int) : int -> x + f)",
+         "| K0 f -> let x = arg in (x + f)"),
+        ("let g (y : int) : int = h f + (let f = y in f)",
+         "= ((h K0) + (let f = y in f))"),
+    ], ids=["parameter", "let", "lambda-parameter", "pattern-variable",
+            "captured", "function-value-elsewhere"])
+    def test_emit_and_equiv(self, mlg, tmp_path, capsys, defn, kept):
+        path = mlg(FN_AND_HOF + defn + "\n")
+        assert main(["emit", path, "-o", str(tmp_path / "out")]) == 0
+        assert kept in (tmp_path / "out" / "prog.mlw").read_text()
+        capsys.readouterr()
+        assert main(["equiv", path, "--entry", "g", "--trials", "20"]) == 0
+        assert capsys.readouterr().out.startswith("PASS g: 20 trials")
+
+    def test_function_value_with_a_parameter_of_its_name(self, mlg,
+                                                          capsys):
+        # the eta expansion of `f` renames its parameter, so the call in
+        # the body still calls the function
+        path = mlg("let f (f : int) : int = f + 1\n"
+                   "let h (k : int -> int) : int = k 1\n"
+                   "let g (y : int) : int = h f\n")
+        assert main(["equiv", path, "--entry", "g", "--trials", "20"]) == 0
+        assert capsys.readouterr().out.startswith("PASS g: 20 trials")
+
+    def test_apply_binders_avoid_a_called_function(self, mlg, tmp_path,
+                                                   capsys):
+        # `k` in the lambda body is the function, not apply's kont binder
+        path = mlg("let k (x : int) : int = x + 1\n"
+                   "let h (g : int -> int) : int = g 1\n"
+                   "let u (y : int) : int = h (fun (x : int) : int -> k x)\n")
+        assert main(["emit", path, "-o", str(tmp_path / "out")]) == 0
+        whyml = (tmp_path / "out" / "prog.mlw").read_text()
+        assert "let rec function apply0 (k_g : kont0) (arg : int)" in whyml
+        assert "| K0 -> let x = arg in (k x)" in whyml
+        capsys.readouterr()
+        assert main(["equiv", path, "--entry", "u", "--trials", "20"]) == 0
+        assert capsys.readouterr().out.startswith("PASS u: 20 trials")
+
+
 class TestNestingLimit:
     @pytest.mark.parametrize("body", [
         " + ".join(["x"] * 600),

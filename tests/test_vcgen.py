@@ -252,6 +252,18 @@ class TestSmtFiles:
         # generated apply functions have no source position
         assert locs["vc_apply0_0"] is None
 
+    def test_index_locates_absurd_arms(self, tmp_path):
+        # the `absurd` arm of a non-exhaustive match is located at the match
+        _, _, t = pipeline(
+            "type color = Red | Green | Blue\n"
+            "let g (c : color) (x : int) : int =\n"
+            "  let y : int = match c with | Red -> x | Green -> x + 1 end in\n"
+            "  match c with | Red -> y | Green -> y - 1 end\n"
+            "(*@ r = g c x\n    ensures r = x *)\n")
+        idx = emit_smt(generate_vcs(t), t, tmp_path)
+        assert [e["loc"] for e in idx if e["kind"] == "absurd-unreachable"] \
+            == ["3:17", "4:3"]
+
     def test_spec_carrying_callees_stay_uninterpreted(self, emitted):
         """Functions with contracts must never receive SMT definitions —
         their calls are encoded through requires/ensures only."""
@@ -323,6 +335,17 @@ class TestClosedFiles:
         for n in range(2, 13):
             for name, text in smt_files(ladder_source(n, [5] * n)).items():
                 assert scope_errors(text) == [], (n, name)
+
+    def test_parameter_named_like_a_function(self):
+        # `g`'s file declares its parameter `f` and defines the function
+        # `f`, which `k` calls
+        files = smt_files("let f (x : int) : int = x + 1\n"
+                          "let k (x : int) : int = f x\n"
+                          "let g (f : int) : int = k f\n"
+                          "(*@ r = g f\n    ensures r = f + 1 *)\n")
+        assert "(define-funs-rec ((f " in files["vc_g_0"]
+        for name, text in files.items():
+            assert scope_errors(text) == [], name
 
     def test_checker_flags_a_missing_definition(self, emitted):
         text = (emitted["height.mlg"] / "vc_height_tree_0.smt2").read_text()
