@@ -392,8 +392,8 @@ class Defunctionalizer:
             param = LetDef(False, s.param[0], [],
                            self.rewrite_ty(s.param[1], s.origin),
                            Var(arg, ty=arg_ty))
-            apply_arms.append(
-                (pat, LetIn(param, self.rewrite(s.body), ty=res_ty)))
+            apply_arms.append((pat, LetIn(param, self.rewrite(s.body),
+                                          ty=res_ty, loc=s.origin)))
         post = PredDef(fam.post_name, k, fam.kont_ty, arg, arg_ty,
                        result, res_ty, post_arms)
         # the ensures clause names the returned value `result`, the

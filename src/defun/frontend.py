@@ -18,8 +18,8 @@ from .syntax import (
     FConstr, FInt, FLogicApp, FTuple, FVar, Forall, If, IntLit, LemmaDecl,
     LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit, Not, PConstr, PCons,
     PInt, PNil, PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow,
-    TNamed, TTuple, TrueP, TupleE, TypeDecl, UnitLit, Var, children,
-    formula_of_binop, normalize_program, BOOL, INT, UNIT,
+    TNamed, TTuple, TooDeep, TrueP, TupleE, TypeDecl, UnitLit, Var, children,
+    FORMULA_OP, formula_of_binop, normalize_program, BOOL, INT, UNIT,
 )
 
 KEYWORDS = {
@@ -36,103 +36,166 @@ OPERATORS = [
 
 PUNCT = ["(", ")", "[", "]", "{", "}", ",", ".", "|", "_"]
 
-# One alternative per kind of lexeme, tried in this order at each offset
-# (the recipe "Writing a Tokenizer" of the `re` documentation).  Integer
-# literals are what `int` reads (`\d` is `str.isdecimal`); a word starts
-# with a letter or `_`, checked in `tokenize`, as `[^\W\d]` also admits
-# non-decimal digits such as `²`.
-MASTER = re.compile("|".join([
-    r"(?P<ws>[ \t\r\n]+)",
+# One alternative per kind of lexeme, tried in this order after the
+# whitespace before it (the recipe "Writing a Tokenizer" of the `re`
+# documentation); the lexeme starts at `m.start(kind)`.  Words that start
+# with an ASCII letter or `_` and have no prime are classified here; any
+# other word is checked in
+# `tokenize`: it must start with a letter or `_`, as `[^\W\d]` also
+# admits non-decimal digits such as `²`.  Integer literals are what `int`
+# reads (`\d` is `str.isdecimal`).
+SPACE = "[ \t\r\n]*"  # no lexeme starts with whitespace
+MASTER = re.compile(SPACE + "(?:" + "|".join([
+    r"(?P<ident>[a-z_]\w*(?![\w']))",  # or a keyword, or `_`
+    r"(?P<uident>[A-Z]\w*(?![\w']))",
+    r"(?P<word>[^\W\d][\w']*)",
+    r"(?P<int>\d+)",
     r"(?P<specopen>\(\*@)",
     r"(?P<comment>\(\*)",
     r"(?P<specclose>\*\))",
     r"(?P<attropen>\[@gospel[ \t\r\n]*\{\|)",
     r"(?P<badattr>\[@gospel)",
     r"(?P<attrclose>\|\}\])",
-    r"(?P<int>\d+)",
-    r"(?P<word>[^\W\d][\w']*)",
     "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
     "(?P<punct>" + "|".join(map(re.escape, PUNCT)) + ")",
-]))
+]) + ")")
+TRAILING = re.compile(SPACE)
 COMMENT_DELIM = re.compile(r"\(\*|\*\)")
+WORD_KIND = dict.fromkeys(KEYWORDS, "kw") | {"_": "punct"}
+PLAIN = frozenset({"uident", "op", "punct", "attrclose"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
+    """A lexeme and its position.  Its `Loc` is made on demand, as about two
+    tokens in three never become a node or an error."""
+
     kind: str  # kw ident uident int op punct specopen specclose attropen attrclose eof
     text: str
-    loc: Loc
+    line: int
+    col: int
+
+    @property
+    def loc(self) -> Loc:
+        return Loc(self.line, self.col)
 
     def __repr__(self):
-        return f"{self.kind}:{self.text!r}@{self.loc}"
+        return f"{self.kind}:{self.text!r}@{self.line}:{self.col}"
 
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    i, n = 0, len(source)
-    line, bol = 1, 0  # the current line, and the offset where it begins
+    append, match, find = toks.append, MASTER.match, source.find
+    i, n = 0, len(source)  # the next lexeme is matched from `i`
+    # The current line, the offset where it begins and the offset of its
+    # newline (or `n`); newlines in whitespace, comments and `[@gospel {|`
+    # are counted when the next lexeme starts beyond them.
+    line, bol, eol = 1, 0, find("\n") % (n + 1)
     digit_limit = sys.get_int_max_str_digits()  # 0: no limit
     in_spec = False
-    while i < n:
-        m = MASTER.match(source, i)
-        if m is None:
-            raise LexError(f"illegal character {source[i]!r}",
-                           Loc(line, i - bol + 1))
-        kind, j = m.lastgroup, m.end()
-        if kind in ("ws", "comment", "attropen"):  # may span lines
-            if kind == "comment":  # nested comments allowed
-                depth = 1
-                while depth:
-                    d = COMMENT_DELIM.search(source, j)
-                    if d is None:
-                        raise LexError("unterminated comment",
-                                       Loc(line, m.end() - bol + 1))
-                    depth += 1 if d.group() == "(*" else -1
-                    j = d.end()
-            elif kind == "attropen":
-                toks.append(Token(kind, "[@gospel {|", Loc(line, i - bol + 1)))
-            newlines = source.count("\n", i, j)
-            if newlines:
-                line += newlines
-                bol = source.rindex("\n", i, j) + 1
-            i = j
-            continue
-        text, here = m.group(), Loc(line, i - bol + 1)
-        if kind == "word":
+    while m := match(source, i):
+        kind = m.lastgroup
+        start, i = m.span(kind)
+        if start > eol:
+            line += source.count("\n", eol, start)
+            bol = source.rindex("\n", eol, start) + 1
+            eol = find("\n", start) % (n + 1)
+        text, col = m[kind], start - bol + 1
+        if kind == "ident":
+            kind = WORD_KIND.get(text, kind)
+        elif kind in PLAIN:  # nothing to check
+            pass
+        elif kind == "word":
             c = text[0]
             if not (c.isalpha() or c == "_"):
-                raise LexError(f"illegal character {c!r}", here)
+                raise LexError(f"illegal character {c!r}", Loc(line, col))
             if "'" in text:
                 raise LexError(f"type variables are not supported: {text!r}",
-                               here)
-            kind = ("punct" if text == "_" else "kw" if text in KEYWORDS
-                    else "uident" if c.isupper() else "ident")
+                               Loc(line, col))
+            kind = WORD_KIND.get(text) or ("uident" if c.isupper()
+                                           else "ident")
+        elif kind == "comment":  # nested comments allowed
+            depth = 1
+            while depth:
+                d = COMMENT_DELIM.search(source, i)
+                if d is None:
+                    raise LexError("unterminated comment",
+                                   Loc(line, col + 2))
+                depth += 1 if d.group() == "(*" else -1
+                i = d.end()
+            continue
         elif kind == "int":
-            if digit_limit and j - i > digit_limit:
+            if digit_limit and i - start > digit_limit:
                 # `int` could not convert it
-                raise LexError(f"integer literal of {j - i} digits exceeds "
-                               f"the limit of {digit_limit}", here)
+                raise LexError(f"integer literal of {i - start} digits "
+                               f"exceeds the limit of {digit_limit}",
+                               Loc(line, col))
+        elif kind == "attropen":
+            text = "[@gospel {|"
         elif kind == "specopen":
             in_spec = True
         elif kind == "specclose":
             if not in_spec:
-                raise LexError("unmatched comment terminator", here)
+                raise LexError("unmatched comment terminator", Loc(line, col))
             in_spec = False
         elif kind == "badattr":
-            raise LexError("malformed gospel attribute", here)
-        toks.append(Token(kind, text, here))
-        i = j
+            raise LexError("malformed gospel attribute", Loc(line, col))
+        append(Token(kind, text, line, col))
+    end = TRAILING.match(source, i).end()
+    if end > eol:
+        line += source.count("\n", eol, end)
+        bol = source.rindex("\n", eol, end) + 1
+    if end < n:
+        raise LexError(f"illegal character {source[end]!r}",
+                       Loc(line, end - bol + 1))
     if in_spec:
         raise LexError("unterminated specification comment",
                        Loc(line, n - bol + 1))
-    toks.append(Token("eof", "", Loc(line, n - bol + 1)))
+    append(Token("eof", "", line, n - bol + 1))
     return toks
 
 
-ATOM_START = {
-    ("int",), ("ident",), ("uident",), ("punct", "("), ("punct", "["),
-    ("kw", "true"), ("kw", "false"),
-}
+ATOM_KINDS = {"int", "ident", "uident"}
+ATOM_TEXTS = {"(", "[", "true", "false"}
+
+
+def _binop(t: Token, left, right):
+    return BinOp(t.text, left, right, loc=t.loc)
+
+
+def _cons(t: Token, left, right):
+    return Cons(left, right, loc=t.loc)
+
+
+def _fbinop(t: Token, left, right):
+    op = FORMULA_OP.get(t.text, (t.text, False))[0]  # `&&` is `/\`, ...
+    return FBinOp(op, left, right, loc=t.loc)
+
+
+def _table(*levels) -> dict:
+    """Binary operators for `Parser.climb`, from levels loosest first, each
+    an associativity, the maker of its nodes and its operators.  Each
+    operator maps to its precedence, the least precedence of an operator
+    in its right operand, that of the loosest operator that may follow it,
+    and its maker: a comparison does not associate, so `a < b < c` stops
+    before the second `<`."""
+    table = {}
+    for prec, (assoc, make, *ops) in enumerate(levels, 1):
+        entry = (prec, prec + (assoc != "right"), prec - (assoc == "none"),
+                 make)
+        table.update(dict.fromkeys(ops, entry))
+    return table
+
+
+BINARY = _table(
+    ("left", _binop, "||"), ("left", _binop, "&&"),
+    ("none", _binop, "=", "<", "<=", ">", ">="), ("right", _cons, "::"),
+    ("left", _binop, "+", "-"), ("left", _binop, "*", "/"))
+FORMULA_LOGIC = _table(
+    ("right", _fbinop, "->"), ("left", _fbinop, "||", "\\/"),
+    ("left", _fbinop, "&&", "/\\"))
+FORMULA_ARITH = _table(("left", _fbinop, "+", "-"),
+                       ("left", _fbinop, "*", "/"))
 
 
 class Parser:
@@ -174,6 +237,14 @@ class Parser:
         t = self.peek()
         raise ParseError(f"{msg}, found {t.text!r}", t.loc, found=t.text)
 
+    def separated(self, parse_item, kind, text) -> list:
+        """One or more items separated by the token `kind` `text`."""
+        items = [parse_item()]
+        while self.at(kind, text):
+            self.next()
+            items.append(parse_item())
+        return items
+
     # -- programs ----------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -185,7 +256,7 @@ class Parser:
             if self.at("kw", "type"):
                 prog.items.append(self.parse_typedecl())
             elif self.at("kw", "let"):
-                prog.items.append(self.parse_letdef(toplevel=True))
+                prog.items.append(self.parse_letdef(self.parse_expr))
             elif self.at("specopen"):
                 self.parse_spec_item(prog)
             else:
@@ -234,10 +305,8 @@ class Parser:
     def parse_spec_clauses(self, end: str) -> Spec:
         spec = Spec(loc=self.peek().loc)
         if self.at("ident") and (self.at("punct", ",", 1) or self.at("op", "=", 1)):
-            spec.result_names.append(self.next().text)
-            while self.at("punct", ","):
-                self.next()
-                spec.result_names.append(self.expect("ident").text)
+            spec.result_names = self.separated(
+                lambda: self.expect("ident").text, "punct", ",")
             self.expect("op", "=")
             self.expect("ident")  # the function's own name; informative only
             while self.at("ident"):
@@ -258,25 +327,18 @@ class Parser:
             raise ParseError("record types are not supported",
                              self.peek().loc, kind="unsupported")
         if self.at("punct", "|") or self.at("uident"):
-            variants = []
             if self.at("punct", "|"):
                 self.next()
-            while True:
-                ctor = self.expect("uident").text
-                fields = []
-                if self.at("kw", "of"):
-                    self.next()
-                    fields.append(self.parse_ty_app())
-                    while self.at("op", "*"):
-                        self.next()
-                        fields.append(self.parse_ty_app())
-                variants.append((ctor, fields))
-                if self.at("punct", "|"):
-                    self.next()
-                else:
-                    break
+            variants = self.separated(self.parse_variant, "punct", "|")
             return TypeDecl(name, variants=variants, loc=loc)
         return TypeDecl(name, alias=self.parse_ty(), loc=loc)
+
+    def parse_variant(self):
+        ctor = self.expect("uident").text
+        if not self.at("kw", "of"):
+            return ctor, []
+        self.next()
+        return ctor, self.separated(self.parse_ty_app, "op", "*")
 
     # -- definitions -------------------------------------------------------
 
@@ -284,7 +346,7 @@ class Parser:
         params = []
         while self.at("punct", "("):
             if self.at("punct", ")", 1):
-                loc = self.next().loc
+                self.next()
                 self.next()
                 params.append(("()", UNIT))
                 continue
@@ -298,7 +360,7 @@ class Parser:
             params.append((name, ty))
         return params
 
-    def parse_letdef(self, toplevel: bool) -> LetDef:
+    def parse_letdef(self, parse_value) -> LetDef:
         loc = self.expect("kw", "let").loc
         is_rec = False
         if self.at("kw", "rec"):
@@ -311,8 +373,7 @@ class Parser:
             self.next()
             ret = self.parse_ty()
         self.expect("op", "=")
-        body = self.parse_expr()
-        return LetDef(is_rec, name, params, ret, body, loc=loc)
+        return LetDef(is_rec, name, params, ret, parse_value(), loc=loc)
 
     # -- expressions -------------------------------------------------------
 
@@ -324,25 +385,11 @@ class Parser:
         return e
 
     def parse_expr_noseq(self):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "kw" and t.text == "let":
-            self.next()
-            is_rec = False
-            if self.at("kw", "rec"):
-                self.next()
-                is_rec = True
-            name = self.expect("ident").text
-            params = self.parse_params()
-            ret = None
-            if self.at("op", ":"):
-                self.next()
-                ret = self.parse_ty()
-            self.expect("op", "=")
-            value = self.parse_expr_noseq()
+            defn = self.parse_letdef(self.parse_expr_noseq)
             self.expect("kw", "in")
-            body = self.parse_expr_noseq()
-            return LetIn(LetDef(is_rec, name, params, ret, value, loc=t.loc),
-                         body, loc=t.loc)
+            return LetIn(defn, self.parse_expr_noseq(), loc=t.loc)
         if t.kind == "kw" and t.text == "if":
             self.next()
             cond = self.parse_expr_noseq()
@@ -355,27 +402,23 @@ class Parser:
             return self.parse_match()
         if t.kind == "kw" and t.text == "fun":
             return self.parse_lambda()
-        return self.parse_or()
+        return self.climb(BINARY, self.parse_app)
 
     def parse_match(self):
         loc = self.expect("kw", "match").loc
         scrut = self.parse_expr_noseq()
         self.expect("kw", "with")
-        arms = []
         if self.at("punct", "|"):
             self.next()
-        while True:
-            pat = self.parse_pattern()
-            self.expect("op", "->")
-            body = self.parse_expr_noseq()
-            arms.append((pat, body))
-            if self.at("punct", "|"):
-                self.next()
-            else:
-                break
+        arms = self.separated(self.parse_arm, "punct", "|")
         if self.at("kw", "end"):
             self.next()
         return Match(scrut, arms, loc=loc)
+
+    def parse_arm(self):
+        pat = self.parse_pattern()
+        self.expect("op", "->")
+        return pat, self.parse_expr_noseq()
 
     def parse_lambda(self):
         loc = self.expect("kw", "fun").loc
@@ -395,54 +438,26 @@ class Parser:
         body = self.parse_expr_noseq()
         return Lambda(spec, params, ret, body, loc=loc)
 
-    def parse_or(self):
-        e = self.parse_and()
-        while self.at("op", "||"):
-            loc = self.next().loc
-            e = BinOp("||", e, self.parse_and(), loc=loc)
-        return e
-
-    def parse_and(self):
-        e = self.parse_cmp()
-        while self.at("op", "&&"):
-            loc = self.next().loc
-            e = BinOp("&&", e, self.parse_cmp(), loc=loc)
-        return e
-
-    def parse_cmp(self):
-        e = self.parse_cons()
-        if self.peek().kind == "op" and self.peek().text in ("=", "<", "<=", ">", ">="):
-            op = self.next()
-            return BinOp(op.text, e, self.parse_cons(), loc=op.loc)
-        return e
-
-    def parse_cons(self):
-        e = self.parse_add()
-        if self.at("op", "::"):
-            loc = self.next().loc
-            return Cons(e, self.parse_cons(), loc=loc)
-        return e
-
-    def parse_add(self):
-        e = self.parse_mul()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next()
-            e = BinOp(op.text, e, self.parse_mul(), loc=op.loc)
-        return e
-
-    def parse_mul(self):
-        e = self.parse_app()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.next()
-            e = BinOp(op.text, e, self.parse_app(), loc=op.loc)
-        return e
+    def climb(self, table, operand, min_prec=1):
+        """The operators of `table` of precedence `min_prec` and tighter
+        over `operand`s, by precedence climbing (Pratt, POPL 1973)."""
+        e = operand()
+        last = len(table)  # above every precedence: any operator may follow
+        while True:
+            t = self.toks[self.pos]
+            op = table.get(t.text)
+            if op is None or not min_prec <= op[0] <= last:
+                return e
+            self.pos += 1
+            _, right_prec, last, make = op
+            e = make(t, e, self.climb(table, operand, right_prec))
 
     def _at_atom(self):
-        t = self.peek()
-        return (t.kind,) in ATOM_START or (t.kind, t.text) in ATOM_START
+        t = self.toks[self.pos]
+        return t.kind in ATOM_KINDS or t.text in ATOM_TEXTS
 
     def parse_app(self):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "uident":
             self.next()
             args = []
@@ -459,16 +474,16 @@ class Parser:
         return e
 
     def parse_atom(self):
-        t = self.peek()
+        t = self.toks[self.pos]
+        if t.kind == "ident":
+            self.pos += 1
+            return Var(t.text, loc=t.loc)
         if t.kind == "int":
-            self.next()
+            self.pos += 1
             return IntLit(int(t.text), loc=t.loc)
         if t.kind == "kw" and t.text in ("true", "false"):
             self.next()
             return BoolLit(t.text == "true", loc=t.loc)
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text, loc=t.loc)
         if t.kind == "uident":
             self.next()
             return ConstructorApp(t.text, [], loc=t.loc)
@@ -477,10 +492,7 @@ class Parser:
             if self.at("punct", "]"):
                 self.next()
                 return NilLit(loc=t.loc)
-            items = [self.parse_expr_noseq()]
-            while self.at("op", ";"):
-                self.next()
-                items.append(self.parse_expr_noseq())
+            items = self.separated(self.parse_expr_noseq, "op", ";")
             self.expect("punct", "]")
             out = NilLit(loc=t.loc)
             for item in reversed(items):
@@ -491,16 +503,12 @@ class Parser:
             if self.at("punct", ")"):
                 self.next()
                 return UnitLit(loc=t.loc)
-            e = self.parse_expr_noseq()
-            if self.at("punct", ","):
-                items = [e]
-                while self.at("punct", ","):
-                    self.next()
-                    items.append(self.parse_expr_noseq())
-                self.expect("punct", ")")
-                return TupleE(items, loc=t.loc)
+            items = [self.parse_expr_noseq()]  # one frame less per level
+            while self.at("punct", ","):
+                self.next()
+                items.append(self.parse_expr_noseq())
             self.expect("punct", ")")
-            return e
+            return TupleE(items, loc=t.loc) if len(items) > 1 else items[0]
         if t.kind == "op" and t.text == "-" and self.at("int", k=1):
             self.next()
             lit = self.next()
@@ -544,34 +552,23 @@ class Parser:
             return PNil(loc=t.loc)
         if t.kind == "punct" and t.text == "(":
             self.next()
-            p = self.parse_pattern()
-            if self.at("op", ":"):
-                self.next()
-                ty = self.parse_ty()
-                if isinstance(p, PVar):
-                    p.ty = ty
-                else:
-                    raise ParseError("type ascription only allowed on variables",
-                                     t.loc)
-            if self.at("punct", ","):
-                items = [p]
-                while self.at("punct", ","):
-                    self.next()
-                    q = self.parse_pattern()
-                    if self.at("op", ":"):
-                        self.next()
-                        ty = self.parse_ty()
-                        if isinstance(q, PVar):
-                            q.ty = ty
-                        else:
-                            raise ParseError(
-                                "type ascription only allowed on variables", t.loc)
-                    items.append(q)
-                self.expect("punct", ")")
-                return PTuple(items, loc=t.loc)
+            items = self.separated(lambda: self.parse_ascribed(t.loc),
+                                   "punct", ",")
             self.expect("punct", ")")
-            return p
+            return PTuple(items, loc=t.loc) if len(items) > 1 else items[0]
         self.fail("expected a pattern")
+
+    def parse_ascribed(self, paren: Loc):
+        """A pattern in parentheses; a variable may carry a type."""
+        p = self.parse_pattern()
+        if self.at("op", ":"):
+            self.next()
+            ty = self.parse_ty()
+            if not isinstance(p, PVar):
+                raise ParseError("type ascription only allowed on variables",
+                                 paren)
+            p.ty = ty
+        return p
 
     def _pattern_atom_start(self):
         t = self.peek()
@@ -588,14 +585,8 @@ class Parser:
         return t
 
     def parse_ty_prod(self):
-        t = self.parse_ty_app()
-        if self.at("op", "*"):
-            items = [t]
-            while self.at("op", "*"):
-                self.next()
-                items.append(self.parse_ty_app())
-            return TTuple(tuple(items))
-        return t
+        items = self.separated(self.parse_ty_app, "op", "*")
+        return TTuple(tuple(items)) if len(items) > 1 else items[0]
 
     def parse_ty_app(self):
         t = self.parse_ty_atom()
@@ -628,49 +619,25 @@ class Parser:
     # -- formulas ----------------------------------------------------------
 
     def parse_formula(self):
-        if self.at("kw", "forall"):
-            return self.parse_forall()
-        return self.parse_implies()
+        return self.climb(FORMULA_LOGIC, self.parse_fnot)
 
     def parse_forall(self):
         loc = self.expect("kw", "forall").loc
-        binders = []
-        while True:
-            names = [self.expect("ident").text]
-            while self.at("ident"):
-                names.append(self.next().text)
-            ty = None
-            if self.at("op", ":"):
-                self.next()
-                ty = self.parse_ty()
-            binders.extend((n, ty) for n in names)
-            if self.at("punct", ","):
-                self.next()
-            else:
-                break
+        groups = self.separated(self.parse_binders, "punct", ",")
         self.expect("punct", ".")
-        return Forall(binders, self.parse_formula(), loc=loc)
+        return Forall([b for group in groups for b in group],
+                      self.parse_formula(), loc=loc)
 
-    def parse_implies(self):
-        f = self.parse_for()
-        if self.at("op", "->"):
-            loc = self.next().loc
-            return FBinOp("->", f, self.parse_formula(), loc=loc)
-        return f
-
-    def parse_for(self):
-        f = self.parse_fand()
-        while self.peek().kind == "op" and self.peek().text in ("||", "\\/"):
-            loc = self.next().loc
-            f = FBinOp("\\/", f, self.parse_fand(), loc=loc)
-        return f
-
-    def parse_fand(self):
-        f = self.parse_fnot()
-        while self.peek().kind == "op" and self.peek().text in ("&&", "/\\"):
-            loc = self.next().loc
-            f = FBinOp("/\\", f, self.parse_fnot(), loc=loc)
-        return f
+    def parse_binders(self):
+        """Names that share a type annotation, if any, in a `forall`."""
+        names = [self.expect("ident").text]
+        while self.at("ident"):
+            names.append(self.next().text)
+        ty = None
+        if self.at("op", ":"):
+            self.next()
+            ty = self.parse_ty()
+        return [(n, ty) for n in names]
 
     def parse_fnot(self):
         if self.at("kw", "not"):
@@ -723,18 +690,7 @@ class Parser:
                 or (t.kind == "punct" and t.text == "("))
 
     def parse_fterm(self):
-        f = self.parse_fmul()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next()
-            f = FBinOp(op.text, f, self.parse_fmul(), loc=op.loc)
-        return f
-
-    def parse_fmul(self):
-        f = self.parse_fapp()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.next()
-            f = FBinOp(op.text, f, self.parse_fapp(), loc=op.loc)
-        return f
+        return self.climb(FORMULA_ARITH, self.parse_fapp)
 
     def parse_fapp(self):
         t = self.peek()
@@ -778,43 +734,36 @@ class Parser:
             return FConstr(t.text, [], loc=t.loc)
         if t.kind == "punct" and t.text == "(":
             self.next()
-            f = self.parse_formula()
-            if self.at("punct", ","):
-                items = [f]
-                while self.at("punct", ","):
-                    self.next()
-                    items.append(self.parse_formula())
-                self.expect("punct", ")")
-                return FTuple(items, loc=t.loc)
+            items = self.separated(self.parse_formula, "punct", ",")
             self.expect("punct", ")")
-            return f
+            return FTuple(items, loc=t.loc) if len(items) > 1 else items[0]
         self.fail("expected a formula")
 
 
 # Deepest nesting of AST nodes a program may have.  The passes recurse on
 # the tree.  Measured at the default recursion limit of 1000, in Python
-# frames per level: the parser takes about 5 per level of nested
-# parenthesised arithmetic (it overflows at about 190 levels), the SMT
-# renderer about 2.5, the type checker and the interpreter's compiled
-# closures, which call each other directly for nested subterms, about 2,
-# and VC generation about 1.5.  The interpreter relies on this limit, which
-# also leaves most of the stack to the caller.  The deepest input in the
-# corpus and benchmark nests 41 levels.  A VC also nests a binder per call
-# with a contract and per join, which grows with the width of a definition,
-# so SMT emission has a guard of its own.
+# frames per level: the parser takes 4 per level of nested parentheses and
+# 5 per level of right-nested arithmetic (from a shallow stack it overflows
+# at about 247 and 197 levels), the SMT renderer about 2.5, the type
+# checker and the interpreter's compiled closures, which call each other
+# directly for nested subterms, about 2, and VC generation about 1.5.  The
+# interpreter relies on this limit, which also leaves most of the stack to
+# the caller.  The deepest input in the corpus and benchmark nests 41
+# levels.  A VC also nests a binder per call with a contract and per join,
+# which grows with the width of a definition, so SMT emission has a guard
+# of its own.
 MAX_DEPTH = 64
 
 
-def check_depth(program: Program):
-    """Reject a program nested deeper than MAX_DEPTH at the leftmost node
-    that is too deep."""
+def _deepest_loc(program: Program):
+    """Where a program nested deeper than MAX_DEPTH is reported: at the
+    leftmost located node MAX_DEPTH + 1 levels down, or failing one there,
+    on the deepest level above that has one."""
     level, loc = [program], None
     for _ in range(MAX_DEPTH + 1):
         level = [c for node in level for c in children(node)]
-        if not level:
-            return
         loc = next((n.loc for n in level if getattr(n, "loc", None)), loc)
-    raise _too_deep(loc)
+    return loc
 
 
 def _too_deep(loc) -> ParseError:
@@ -822,25 +771,33 @@ def _too_deep(loc) -> ParseError:
                       kind="nesting-too-deep")
 
 
-def parse_program(source: str) -> Program:
-    parser = Parser(tokenize(source))
+def _parse_all(tokens: list[Token], parse):
+    """`parse(parser)` over all of `tokens`; running out of Python stack is
+    reported as nesting too deep, at the token the parser had reached."""
+    parser = Parser(tokens)
     try:
-        program = parser.parse_program()
+        result = parse(parser)
+        parser.expect("eof")
     except RecursionError:
         raise _too_deep(parser.peek().loc) from None
-    check_depth(program)
-    return normalize_program(program)
+    return result
+
+
+def parse_program(source: str) -> Program:
+    tokens = tokenize(source)
+    program = _parse_all(tokens, Parser.parse_program)
+    try:
+        return normalize_program(program, MAX_DEPTH)
+    except TooDeep:
+        # normalization has changed the tree in place: locate the fault on
+        # a fresh one
+        loc = _deepest_loc(Parser(tokens).parse_program())
+        raise _too_deep(loc) from None
 
 
 def parse_formula(source: str):
-    p = Parser(tokenize(source))
-    f = p.parse_formula()
-    p.expect("eof")
-    return f
+    return _parse_all(tokenize(source), Parser.parse_formula)
 
 
 def parse_expr(source: str):
-    p = Parser(tokenize(source))
-    e = p.parse_expr()
-    p.expect("eof")
-    return e
+    return _parse_all(tokenize(source), Parser.parse_expr)

@@ -7,6 +7,8 @@ freshly parsed trees against transformed ones.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
@@ -701,46 +703,65 @@ def free_vars(e: Expr) -> list[tuple[str, Ty]]:
 # Currying normalization
 
 
-def normalize_curry(e: Expr) -> Expr:
+class TooDeep(Exception):
+    """A node lies deeper below the root than `normalize_curry` allows."""
+
+
+def normalize_curry(e, room: int = sys.maxsize, curry: bool = True):
     """Split every multi-parameter lambda into nested unary lambdas.
 
     The outermost lambda keeps the first parameter; the attached spec stays
     on the innermost one.  Inner lambdas remember the earlier parameters of
     their chain, which later fixes the capture order of their sites.
-    A top-level item may be passed as well: definitions and expression
-    statements are normalized, other items come back unchanged.
+    Any node may be passed, a top-level item too; nodes above a split
+    lambda are updated in place.
+
+    The same walk bounds the nesting: it raises `TooDeep` when a node of
+    any sort lies more than `room` levels below `e`.  With `curry` false it
+    only does that.
     """
-
-    def split(lam: Lambda) -> Lambda:
-        body = go(lam.body)
-        if len(lam.params) <= 1:
-            return Lambda(lam.spec, list(lam.params), lam.ret, body,
-                          chain=list(lam.chain), ty=lam.ty, loc=lam.loc)
-        params = list(lam.params)
-        inner = Lambda(lam.spec, [params[-1]], lam.ret, body,
-                       chain=list(lam.chain) + params[:-1], loc=lam.loc)
-        ret = lam.ret
-        for i in range(len(params) - 2, 0, -1):
-            ret = TArrow(params[i + 1][1], ret)
-            inner = Lambda(None, [params[i]], ret, inner,
-                           chain=list(lam.chain) + params[:i], loc=lam.loc)
-        ret = TArrow(params[1][1], ret)
-        return Lambda(None, [params[0]], ret, inner,
-                      chain=list(lam.chain), ty=lam.ty, loc=lam.loc)
-
-    def go(e):
-        if type(e) is Lambda:
-            return split(e)
-        if isinstance(e, (Expr, LetDef, ExprStmt)):
-            return map_children(e, go)
-        return e
-
-    return go(e)
+    cls = type(e)
+    if cls is list or cls is tuple:  # its nodes stand at its own level
+        items = [v if type(v) in _LEAVES else normalize_curry(v, room, curry)
+                 for v in e]
+        if all(map(operator.is_, items, e)):
+            return e
+        return items if cls is list else tuple(items)
+    if room < 0:
+        raise TooDeep
+    for name in _STRUCTURE[cls]:
+        v = getattr(e, name)
+        if type(v) not in _LEAVES:
+            w = normalize_curry(v, room - 1, curry)
+            if w is not v:
+                setattr(e, name, w)
+    if curry and cls is Lambda and len(e.params) > 1:
+        return _split(e)
+    return e
 
 
-def normalize_program(p: Program) -> Program:
-    return Program(prelude=list(p.prelude),
-                   items=[normalize_curry(it) for it in p.items])
+def _split(lam: Lambda) -> Lambda:
+    params = list(lam.params)
+    inner = Lambda(lam.spec, [params[-1]], lam.ret, lam.body,
+                   chain=list(lam.chain) + params[:-1], loc=lam.loc)
+    ret = lam.ret
+    for i in range(len(params) - 2, 0, -1):
+        ret = TArrow(params[i + 1][1], ret)
+        inner = Lambda(None, [params[i]], ret, inner,
+                       chain=list(lam.chain) + params[:i], loc=lam.loc)
+    ret = TArrow(params[1][1], ret)
+    return Lambda(None, [params[0]], ret, inner,
+                  chain=list(lam.chain), ty=lam.ty, loc=lam.loc)
+
+
+def normalize_program(p: Program, room: int = sys.maxsize) -> Program:
+    """`p` with its items curry-normalized in place, and no node more than
+    `room` levels below it (`TooDeep`).  Logical definitions are checked
+    but keep their lambdas."""
+    for d in p.prelude:
+        normalize_curry(d, room - 1, curry=False)
+    p.items = [normalize_curry(it, room - 1) for it in p.items]
+    return p
 
 
 def all_identifiers(p: Program) -> set[str]:

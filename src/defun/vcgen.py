@@ -309,9 +309,11 @@ class VCGen:
 
         ensures = d.spec.ensures if d.spec is not None else []
         for path, arm_body, binds in cases:
+            # an arm of a generated `apply` is located at its lambda
+            loc = d.loc or arm_body.loc
             if isinstance(arm_body, Absurd):
                 out.append(VC("", list(d.params), hyps + path, FALSE,
-                              (d.name, d.loc, "absurd-unreachable")))
+                              (d.name, loc, "absurd-unreachable")))
                 continue
             # one walk per ensures clause; without one, the body is still
             # walked for its side VCs.  A walk after the first repeats the
@@ -325,7 +327,7 @@ class VCGen:
                     out += self.side
                 if q is not None:
                     out.append(VC("", list(d.params), hyps + path, goal,
-                                  (d.name, d.loc, "postcondition")))
+                                  (d.name, loc, "postcondition")))
         for i, vc in enumerate(out):
             vc.name = f"vc_{d.name}_{i}"
         self.vcs.extend(out)

@@ -142,13 +142,13 @@ FAMILIES = {
 
 FROZEN = {
     "corpus":
-        "86b1a06fcdb3b828574b06c9dea55e760955d30bc1719e5de726af5374da3cd8",
+        "4a21a2afe37e4deac37ebfff4c207836e77bfde619391802c31b33114b54743c",
     "genprog":
-        "91c0ac329fc3625187f27b138768e9efe69c4bcdad0a2173d199bfc6674491cf",
+        "8260ba626fe1603547fed68407ff57c336f45a1413bf1b32027021498c7f5166",
     "ladders":
         "d2f1e37bd726c83cf37d67e0575aa19afaf8e17e401d20720506fe50cb0717ee",
     "handwritten":
-        "7a7f629509d76dd7fbeba5b348c55518662c8334ce66dd329a65c0a4b2f87713",
+        "4c26d377325f01e4ad103de2d7b667b664eca39977adc3646933f838788ce819",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from defun import frontend
 from defun.cli import main
 from defun.errors import ParseError
-from defun.frontend import parse_program
+from defun.frontend import parse_formula, parse_program
 from defun.interp import render_value, vlist
 from defun.vcgen import run_solver
 
@@ -150,6 +150,19 @@ class TestNestingLimit:
         assert main(["check", path]) == 1
         err = capsys.readouterr().err
         assert re.match(r"error: nesting-too-deep: 1:\d+: ", err), err
+
+    def test_deep_run_argument_gets_diagnostic(self, capsys):
+        # the argument is parsed by `parse_expr`, which ran out of stack
+        deep = "(" * 300 + "[1]" + ")" * 300
+        assert main(["run", str(CORPUS / "reverse.mlg"), "--entry", "reverse",
+                     "--arg", deep]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: nesting-too-deep: 1:\d+: ", err), err
+
+    def test_deep_formula_gets_diagnostic(self):
+        with pytest.raises(ParseError) as exc:
+            parse_formula("(" * 300 + "x = 1" + ")" * 300)
+        assert exc.value.kind == "nesting-too-deep"
 
     def test_just_under_limit_emits_smt(self, mlg, tmp_path, capsys):
         n = frontend.MAX_DEPTH - 3  # this shape nests n + 3 levels deep

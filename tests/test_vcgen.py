@@ -249,8 +249,15 @@ class TestSmtFiles:
         locs = {e["name"]: e["loc"] for e in idx}
         assert locs["vc_post_eval_0"] == "68:1"  # the lemma
         assert locs["vc_red_0"] == "56:1"  # `let rec red`
-        # generated apply functions have no source position
-        assert locs["vc_apply0_0"] is None
+        # an arm of a generated apply function is located at its lambda
+        assert locs["vc_apply0_0"] == "26:10"
+
+    def test_index_locates_apply_arms(self, emitted):
+        idx = json.loads((emitted["length.mlg"] / "index.json").read_text())
+        locs = {e["name"]: e["loc"] for e in idx}
+        # the `fun` passed by `length_cps`, then the one passed by `len`
+        assert (locs["vc_apply0_0"], locs["vc_apply0_1"]) == ("6:10", "13:17")
+        assert None not in locs.values()
 
     def test_index_locates_absurd_arms(self, tmp_path):
         # the `absurd` arm of a non-exhaustive match is located at the match
