@@ -72,7 +72,7 @@ class PredDef:
 
 @dataclass
 class TargetProgram:
-    source_types: list  # TypeDecl (rewritten)
+    source_types: list  # variant TypeDecls (rewritten); aliases expand away
     kont_decls: list  # TypeDecl
     post_defs: list  # PredDef
     apply_defs: list  # LetDef
@@ -295,7 +295,8 @@ class Defunctionalizer:
         source_types, items, lemmas = [], [], []
         for item in self.program.items:
             if isinstance(item, TypeDecl):
-                source_types.append(self.rewrite_typedecl(item))
+                if item.variants is not None:
+                    source_types.append(self.rewrite_typedecl(item))
             elif isinstance(item, LetDef):
                 items.append(self.rewrite_letdef(item))
             elif isinstance(item, LemmaDecl):
@@ -326,12 +327,9 @@ class Defunctionalizer:
         return f
 
     def rewrite_typedecl(self, decl: TypeDecl) -> TypeDecl:
-        if decl.variants is not None:
-            variants = [(c, [self.rewrite_ty(t, decl.loc) for t in tys])
-                        for c, tys in decl.variants]
-            return TypeDecl(decl.name, variants=variants, loc=decl.loc)
-        return TypeDecl(decl.name, alias=self.rewrite_ty(decl.alias, decl.loc),
-                        loc=decl.loc)
+        variants = [(c, [self.rewrite_ty(t, decl.loc) for t in tys])
+                    for c, tys in decl.variants]
+        return TypeDecl(decl.name, variants=variants, loc=decl.loc)
 
     def rewrite_letdef(self, d: LetDef) -> LetDef:
         info = self.fns.get(d.name)
@@ -597,7 +595,7 @@ def defunctionalize(program: Program, checker: Checker) -> TargetProgram:
 
 
 # ---------------------------------------------------------------------------
-# Structural invariant walkers (used by tests and the corpus runner)
+# Structural invariant walkers (only tests call them)
 
 
 def assert_first_order(t: TargetProgram):

@@ -1,14 +1,14 @@
-"""Rendering: WhyML-compatible text for TargetPrograms, canonical surface
-text for Programs, and a reader for the emitted WhyML subset used by the
-self round-trip oracle.
+"""Rendering: WhyML text for TargetPrograms, a reader for the emitted WhyML
+subset used by the self round-trip oracle, and canonical surface text for
+Programs.  One `WhymlWriter.term` writes expressions and formulas alike,
+and the `use` imports are the theories of the builtins it wrote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .defunc import PredDef, TargetProgram
-from .errors import ParseError
 from .frontend import Parser, tokenize
 from .syntax import (
     Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
@@ -16,7 +16,7 @@ from .syntax import (
     IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit,
     Not, PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, PostMeta, Program,
     RELATIONS, Seq, Spec, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
-    TupleE, Ty, TypeDecl, UnitLit, Var, walk, BOOL, INT, UNIT,
+    TupleE, Ty, TypeDecl, UnitLit, Var, BOOL, INT, UNIT,
 )
 
 # ---------------------------------------------------------------------------
@@ -32,6 +32,10 @@ STDLIB_IMPORTS = [
     ("tree.Height", "height"),
 ]
 
+# builtin constructors -> the key of the theory that declares them
+BUILTIN_CONSTRUCTORS = {
+    "Nil": "list", "Cons": "list", "Empty": "tree", "Node": "tree"}
+
 
 # ---------------------------------------------------------------------------
 # WhyML document model (shared by the emitter and the round-trip reader)
@@ -40,43 +44,14 @@ STDLIB_IMPORTS = [
 @dataclass
 class WhymlDoc:
     module_name: str
-    imports: list  # of str
     items: list  # of ("type",TypeDecl) | ("logical",LogicalDecl)
     #              | ("predgroup",[PredDef]) | ("applygroup",[LetDef])
     #              | ("let",LetDef) | ("lemma",LemmaDecl)
 
 
-def _used_symbols(t: TargetProgram) -> set[str]:
-    """Names of builtin types/logicals referenced anywhere in the target."""
-    used: set[str] = set()
-    for root in (t.source_types + t.kont_decls + t.post_defs + t.apply_defs
-                 + t.items + t.lemmas + t.prelude):
-        for n in walk(root):
-            cls = type(n)
-            if cls is TNamed or cls is FLogicApp:
-                used.add(n.name)
-            elif cls in (PNil, PCons, NilLit, Cons):
-                used.add("list")
-            elif cls in (PConstr, ConstructorApp, FConstr):
-                if n.name in ("Nil", "Cons"):
-                    used.add("list")
-                elif n.name in ("Empty", "Node"):
-                    used.add("tree")
-            elif (cls is BinOp or cls is FBinOp) and n.op == "/":
-                used.add("/")
-    return used
-
-
 def build_doc(t: TargetProgram, module_name: str = "Defun") -> WhymlDoc:
-    used = _used_symbols(t)
-    imports = []
-    for module, key in STDLIB_IMPORTS:
-        if key is None or key in used:
-            imports.append(module)
     items: list = []
-    for decl in t.source_types:
-        items.append(("type", decl))
-    for decl in t.kont_decls:
+    for decl in t.source_types + t.kont_decls:
         items.append(("type", decl))
     for decl in t.prelude:
         items.append(("logical", decl))
@@ -92,246 +67,232 @@ def build_doc(t: TargetProgram, module_name: str = "Defun") -> WhymlDoc:
                 ("let", LetDef(False, "_it", [], item.expr.ty, item.expr)))
     for lem in t.lemmas:
         items.append(("lemma", lem))
-    return WhymlDoc(module_name, imports, items)
+    return WhymlDoc(module_name, items)
 
 
 # ---------------------------------------------------------------------------
 # WhyML rendering
 
 
-def w_ty(ty: Ty, atom: bool = False) -> str:
-    if isinstance(ty, TInt):
-        return "int"
-    if isinstance(ty, TBool):
-        return "bool"
-    if isinstance(ty, TUnit):
-        return "unit"
-    if isinstance(ty, TNamed):
-        if ty.args:
-            s = ty.name + " " + " ".join(w_ty(a, atom=True) for a in ty.args)
-            return f"({s})" if atom else s
-        return ty.name
-    if isinstance(ty, TTuple):
-        return "(" + ", ".join(w_ty(x) for x in ty.items) + ")"
-    if isinstance(ty, TArrow):
-        s = f"{w_ty(ty.param, atom=True)} -> {w_ty(ty.result)}"
-        return f"({s})" if atom else s
-    raise AssertionError(f"unrenderable type {ty!r}")
+class WhymlWriter:
+    """Writes WhyML text, and records in `used` each symbol it writes: a
+    named type, a logical function, a binary operator, a constructor, or
+    for the constructors of `list` and `tree` the name of their type.  The
+    keys of `STDLIB_IMPORTS` are among these symbols."""
 
+    def __init__(self):
+        self.used: set[str] = set()
 
-def w_pattern(p) -> str:
-    if isinstance(p, PWild):
-        return "_"
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PInt):
-        return str(p.value) if p.value >= 0 else f"({p.value})"
-    if isinstance(p, PNil):
-        return "Nil"
-    if isinstance(p, PCons):
-        return "Cons " + _w_pat_atom(p.head) + " " + _w_pat_atom(p.tail)
-    if isinstance(p, PConstr):
-        if not p.args:
-            return p.name
-        return p.name + " " + " ".join(_w_pat_atom(q) for q in p.args)
-    if isinstance(p, PTuple):
-        return "(" + ", ".join(w_pattern(q) for q in p.items) + ")"
-    raise AssertionError(f"unrenderable pattern {p!r}")
-
-
-def _w_pat_atom(p) -> str:
-    s = w_pattern(p)
-    if isinstance(p, (PCons, PTuple)) or (isinstance(p, PConstr) and p.args):
-        return f"({s})" if not s.startswith("(") else s
-    return s
-
-
-def w_expr(e, indent: int = 0) -> str:
-    """Render an expression; `indent` is the current left margin for
-    multi-line forms (match)."""
-    pad = "  " * indent
-    if isinstance(e, IntLit):
-        return str(e.value) if e.value >= 0 else f"({e.value})"
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, UnitLit):
-        return "()"
-    if isinstance(e, NilLit):
-        return "Nil"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Absurd):
-        return "absurd"
-    if isinstance(e, Cons):
-        return ("(Cons " + _w_atom(e.head, indent) + " "
-                + _w_atom(e.tail, indent) + ")")
-    if isinstance(e, ConstructorApp):
-        if not e.args:
-            return e.name
-        return ("(" + e.name + " "
-                + " ".join(_w_atom(a, indent) for a in e.args) + ")")
-    if isinstance(e, TupleE):
-        return "(" + ", ".join(w_expr(x, indent) for x in e.items) + ")"
-    if isinstance(e, BinOp):
-        return (f"({_w_operand(e.left, indent)} {e.op} "
-                f"{_w_operand(e.right, indent)})")
-    if isinstance(e, Seq):
-        return f"({w_expr(e.first, indent)}; {w_expr(e.second, indent)})"
-    if isinstance(e, LetIn):
-        d = e.defn
-        return (f"let {d.name} = {w_expr(d.body, indent)} in "
-                + w_expr(e.body, indent))
-    if isinstance(e, If):
-        return (f"if {w_expr(e.cond, indent)} then {w_expr(e.then, indent)} "
-                f"else {w_expr(e.els, indent)}")
-    if isinstance(e, Match):
-        lines = [f"match {w_expr(e.scrutinee, indent)} with"]
-        for p, b in e.arms:
-            lines.append(f"{pad}| {w_pattern(p)} -> {w_expr(b, indent + 1)}")
-        lines.append(f"{pad}end")
-        return "\n".join(lines)
-    if isinstance(e, App):
-        head, args = e, []
-        while isinstance(head, App):
-            args.append(head.arg)
-            head = head.fn
-        args.reverse()
-        return ("(" + w_expr(head, indent) + " "
-                + " ".join(_w_atom(a, indent) for a in args) + ")")
-    if isinstance(e, Lambda):
-        params = " ".join(f"({n} : {w_ty(t)})" for n, t in e.params)
-        return f"(fun {params} -> {w_expr(e.body, indent)})"
-    raise AssertionError(f"unrenderable expression {e!r}")
-
-
-def _w_operand(e, indent) -> str:
-    # an `if`, `let` or `match` reaches as far right as it can, so it is
-    # enclosed
-    s = w_expr(e, indent)
-    return f"({s})" if isinstance(e, (If, LetIn, Match)) else s
-
-
-def _w_atom(e, indent) -> str:
-    s = w_expr(e, indent)
-    if s.startswith("(") or "\n" not in s and " " not in s:
-        return s
-    return f"({s})"
-
-
-def w_formula(f, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(f, TrueP):
-        return "true"
-    if isinstance(f, FInt):
-        return str(f.value) if f.value >= 0 else f"({f.value})"
-    if isinstance(f, FBool):
-        return "true" if f.value else "false"
-    if isinstance(f, FVar):
-        return f.name
-    if isinstance(f, FConstr):
-        if not f.args:
-            return f.name
-        return ("(" + f.name + " "
-                + " ".join(_wf_atom(a, indent) for a in f.args) + ")")
-    if isinstance(f, FLogicApp):
-        return ("(" + f.name + " "
-                + " ".join(_wf_atom(a, indent) for a in f.args) + ")")
-    if isinstance(f, FBinOp):
-        s = f"{w_formula(f.left, indent)} {f.op} {w_formula(f.right, indent)}"
-        return s if f.op in RELATIONS else f"({s})"
-    if isinstance(f, FTuple):
-        return "(" + ", ".join(w_formula(x, indent) for x in f.items) + ")"
-    if isinstance(f, Not):
-        return f"(not {w_formula(f.body, indent)})"
-    if isinstance(f, Forall):
-        binders = ", ".join(f"{n} : {w_ty(t)}" for n, t in f.binders)
-        return f"(forall {binders}. {w_formula(f.body, indent)})"
-    if isinstance(f, FLet):
-        return (f"let {f.name} = {w_formula(f.value, indent)} in "
-                + w_formula(f.body, indent))
-    if isinstance(f, FMatch):
-        lines = [f"match {w_formula(f.scrutinee, indent)} with"]
-        for p, b in f.arms:
-            lines.append(f"{pad}| {w_pattern(p)} -> {w_formula(b, indent + 1)}")
-        lines.append(f"{pad}end")
-        return "\n".join(lines)
-    if isinstance(f, PostMeta):
-        raise AssertionError("unexpanded post meta-predicate reached emission")
-    raise AssertionError(f"unrenderable formula {f!r}")
-
-
-def _wf_atom(f, indent) -> str:
-    s = w_formula(f, indent)
-    if s.startswith("(") or (" " not in s and "\n" not in s):
-        return s
-    return f"({s})"
-
-
-def _w_params(params) -> str:
-    return " ".join(f"({n} : {w_ty(t)})" for n, t in params)
-
-
-def _render_pred(p: PredDef, head: str, out: list):
-    out.append(f"  {head} {p.name} ({p.kont_param} : {w_ty(p.kont_ty)}) "
-               f"({p.arg_param} : {w_ty(p.arg_ty)}) "
-               f"({p.result_param} : {w_ty(p.result_ty)}) =")
-    out.append(f"    match {p.kont_param} with")
-    for pat, f in p.arms:
-        out.append(f"    | {w_pattern(pat)} -> {w_formula(f, 3)}")
-    out.append("    end")
-
-
-def _render_letdef(d: LetDef, head: str, out: list):
-    sig = f"  {head} {d.name} {_w_params(d.params)} : {w_ty(d.ret)}"
-    out.append(sig)
-    if d.spec is not None:
-        for f in d.spec.requires:
-            out.append(f"    requires {{ {w_formula(f, 2)} }}")
-        for f in d.spec.ensures:
-            out.append(f"    ensures {{ {w_formula(f, 2)} }}")
-    body = w_expr(d.body, 1)
-    out.append(f"  = {body}")
-
-
-def render_doc(doc: WhymlDoc) -> str:
-    out: list[str] = [f"module {doc.module_name}"]
-    for imp in doc.imports:
-        out.append(f"  use {imp}")
-    for kind, item in doc.items:
-        out.append("")
-        if kind == "type":
+    def item(self, kind: str, item, out: list):
+        """Append the lines of one document item to `out`."""
+        if kind == "let":
+            self._letdef(item, "let rec" if item.is_rec else "let", out)
+        elif kind == "type":
             variants = " | ".join(
-                c + ("" if not tys else " " + " ".join(
-                    w_ty(t, atom=True) for t in tys))
-                for c, tys in item.variants or [])
+                c + "".join(" " + self.ty(t, atom=True) for t in tys)
+                for c, tys in item.variants)
             out.append(f"  type {item.name} = {variants}")
         elif kind == "logical":
             head = "predicate" if item.is_predicate else "function"
-            sig = f"  {head} {item.name} {_w_params(item.params)}"
+            sig = f"  {head} {item.name} {self.params(item.params)}"
             if not item.is_predicate:
-                sig += f" : {w_ty(item.ret)}"
+                sig += f" : {self.ty(item.ret)}"
             if item.body is not None:
-                body = w_expr(item.body, 1)
-                out.append(f"{sig} = {body}")
-            else:
-                out.append(sig)
+                sig += f" = {self.term(item.body, 1)}"
+            out.append(sig)
         elif kind == "predgroup":
             for i, p in enumerate(item):
-                _render_pred(p, "predicate" if i == 0 else "with", out)
+                params = self.params([(p.kont_param, p.kont_ty),
+                                      (p.arg_param, p.arg_ty),
+                                      (p.result_param, p.result_ty)])
+                head = "predicate" if i == 0 else "with"
+                out.append(f"  {head} {p.name} {params} =")
+                out.append(f"    match {p.kont_param} with")
+                for pat, f in p.arms:
+                    out.append(f"    | {self.pattern(pat)} -> "
+                               f"{self.term(f, 3)}")
+                out.append("    end")
         elif kind == "applygroup":
             for i, d in enumerate(item):
-                _render_letdef(d, "let rec function" if i == 0 else "with",
-                               out)
-        elif kind == "let":
-            head = "let rec" if item.is_rec else "let"
-            _render_letdef(item, head, out)
+                self._letdef(d, "let rec function" if i == 0 else "with", out)
         elif kind == "lemma":
-            out.append(f"  lemma {item.name} : {w_formula(item.formula, 1)}")
+            out.append(f"  lemma {item.name} : {self.term(item.formula, 1)}")
         else:
             raise AssertionError(kind)
-    out.append("")
-    out.append("end")
-    return "\n".join(out) + "\n"
+
+    def _letdef(self, d: LetDef, head: str, out: list):
+        out.append(f"  {head} {d.name} {self.params(d.params)} : "
+                   f"{self.ty(d.ret)}")
+        if d.spec is not None:
+            for f in d.spec.requires:
+                out.append(f"    requires {{ {self.term(f, 2)} }}")
+            for f in d.spec.ensures:
+                out.append(f"    ensures {{ {self.term(f, 2)} }}")
+        out.append(f"  = {self.term(d.body, 1)}")
+
+    def params(self, params) -> str:
+        return " ".join(f"({n} : {self.ty(t)})" for n, t in params)
+
+    def ty(self, ty: Ty, atom: bool = False) -> str:
+        cls = type(ty)
+        if cls is TInt:
+            return "int"
+        if cls is TNamed:
+            self.used.add(ty.name)
+            if ty.args:
+                s = ty.name + " " + " ".join(self.ty(a, atom=True)
+                                             for a in ty.args)
+                return f"({s})" if atom else s
+            return ty.name
+        if cls is TBool:
+            return "bool"
+        if cls is TUnit:
+            return "unit"
+        if cls is TTuple:
+            return "(" + ", ".join(self.ty(x) for x in ty.items) + ")"
+        if cls is TArrow:
+            s = f"{self.ty(ty.param, atom=True)} -> {self.ty(ty.result)}"
+            return f"({s})" if atom else s
+        raise AssertionError(f"unrenderable type {ty!r}")
+
+    def pattern(self, p) -> str:
+        cls = type(p)
+        if cls is PVar:
+            return p.name
+        if cls is PConstr:
+            self.used.add(BUILTIN_CONSTRUCTORS.get(p.name, p.name))
+            if not p.args:
+                return p.name
+            return p.name + " " + " ".join(_enclosed(self.pattern(q))
+                                           for q in p.args)
+        if cls is PWild:
+            return "_"
+        if cls is PCons:
+            self.used.add("list")
+            return (f"Cons {_enclosed(self.pattern(p.head))} "
+                    f"{_enclosed(self.pattern(p.tail))}")
+        if cls is PNil:
+            self.used.add("list")
+            return "Nil"
+        if cls is PInt:
+            return str(p.value) if p.value >= 0 else f"({p.value})"
+        if cls is PTuple:
+            return "(" + ", ".join(self.pattern(q) for q in p.items) + ")"
+        raise AssertionError(f"unrenderable pattern {p!r}")
+
+    def term(self, x, indent: int = 0) -> str:
+        """The WhyML text of an expression or a formula; `indent` is the
+        left margin of the lines of a multi-line `match`.  The node
+        classes are tested in the order of how often they occur."""
+        cls = type(x)
+        if cls is Var or cls is FVar:
+            return x.name
+        if cls is App:
+            head, args = x, []
+            while type(head) is App:
+                args.append(head.arg)
+                head = head.fn
+            args.reverse()
+            return f"({self.term(head, indent)} {self._atoms(args, indent)})"
+        if cls is BinOp:
+            self.used.add(x.op)
+            return (f"({self._operand(x.left, indent)} {x.op} "
+                    f"{self._operand(x.right, indent)})")
+        if cls is FBinOp:
+            self.used.add(x.op)
+            s = (f"{self.term(x.left, indent)} {x.op} "
+                 f"{self.term(x.right, indent)}")
+            return s if x.op in RELATIONS else f"({s})"
+        if cls is IntLit or cls is FInt:
+            return str(x.value) if x.value >= 0 else f"({x.value})"
+        if cls is ConstructorApp or cls is FConstr:
+            self.used.add(BUILTIN_CONSTRUCTORS.get(x.name, x.name))
+            if not x.args:
+                return x.name
+            return f"({x.name} {self._atoms(x.args, indent)})"
+        if cls is FLogicApp:
+            self.used.add(x.name)
+            return f"({x.name} {self._atoms(x.args, indent)})"
+        if cls is LetIn:
+            return self._let(x.defn.name, x.defn.body, x.body, indent)
+        if cls is FLet:
+            return self._let(x.name, x.value, x.body, indent)
+        if cls is Match or cls is FMatch:
+            pad = "  " * indent
+            lines = [f"match {self.term(x.scrutinee, indent)} with"]
+            for p, b in x.arms:
+                lines.append(f"{pad}| {self.pattern(p)} -> "
+                             f"{self.term(b, indent + 1)}")
+            lines.append(f"{pad}end")
+            return "\n".join(lines)
+        if cls is If:
+            return (f"if {self.term(x.cond, indent)} then "
+                    f"{self.term(x.then, indent)} "
+                    f"else {self.term(x.els, indent)}")
+        if cls is TupleE or cls is FTuple:
+            return ("(" + ", ".join(self.term(i, indent) for i in x.items)
+                    + ")")
+        if cls is BoolLit or cls is FBool:
+            return "true" if x.value else "false"
+        if cls is Cons:
+            self.used.add("list")
+            return f"(Cons {self._atoms([x.head, x.tail], indent)})"
+        if cls is NilLit:
+            self.used.add("list")
+            return "Nil"
+        if cls is TrueP:
+            return "true"
+        if cls is Not:
+            return f"(not {self.term(x.body, indent)})"
+        if cls is Forall:
+            binders = ", ".join(f"{n} : {self.ty(t)}" for n, t in x.binders)
+            return f"(forall {binders}. {self.term(x.body, indent)})"
+        if cls is Seq:
+            return (f"({self.term(x.first, indent)}; "
+                    f"{self.term(x.second, indent)})")
+        if cls is UnitLit:
+            return "()"
+        if cls is Absurd:
+            return "absurd"
+        if cls is Lambda:
+            return (f"(fun {self.params(x.params)} -> "
+                    f"{self.term(x.body, indent)})")
+        raise AssertionError(f"unrenderable term {x!r}")
+
+    def _let(self, name: str, value, body, indent: int) -> str:
+        return (f"let {name} = {self.term(value, indent)} in "
+                + self.term(body, indent))
+
+    def _atoms(self, args, indent: int) -> str:
+        return " ".join(_enclosed(self.term(a, indent)) for a in args)
+
+    def _operand(self, e, indent: int) -> str:
+        # an `if`, `let` or `match` reaches as far right as it can, so it is
+        # enclosed
+        s = self.term(e, indent)
+        return f"({s})" if type(e) in (If, LetIn, Match) else s
+
+
+def _enclosed(s: str) -> str:
+    """`s` as an argument of an application: in parentheses unless it is
+    one word or already enclosed."""
+    if s.startswith("(") or " " not in s and "\n" not in s:
+        return s
+    return f"({s})"
+
+
+def render_doc(doc: WhymlDoc) -> str:
+    """The module text: its items, after the `use` lines of the theories
+    whose builtins the items write."""
+    writer = WhymlWriter()
+    body: list[str] = []
+    for kind, item in doc.items:
+        body.append("")
+        writer.item(kind, item, body)
+    uses = [f"  use {module}" for module, key in STDLIB_IMPORTS
+            if key is None or key in writer.used]
+    return "\n".join([f"module {doc.module_name}", *uses, *body, "", "end"]
+                     ) + "\n"
 
 
 def emit_whyml(t: TargetProgram, module_name: str = "Defun") -> str:
@@ -387,19 +348,18 @@ class WhymlParser(Parser):
     def parse_doc(self) -> WhymlDoc:
         self.expect("ident", "module")
         name = self.expect("uident").text
-        imports = []
+        # the imports follow from the items, so they are read and dropped
         while self.at("ident", "use"):
             self.next()
-            mod = self.expect("ident").text
+            self.expect("ident")
             self.expect("punct", ".")
-            mod += "." + self.expect("uident").text
-            imports.append(mod)
+            self.expect("uident")
         items = []
         while not self.at("kw", "end"):
             items.extend(self.parse_doc_item())
         self.expect("kw", "end")
         self.expect("eof")
-        return WhymlDoc(name, imports, items)
+        return WhymlDoc(name, items)
 
     def parse_doc_item(self):
         if self.at("kw", "type"):

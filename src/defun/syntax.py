@@ -94,15 +94,6 @@ def arrow(*tys: Ty) -> Ty:
     return res
 
 
-def arrow_args(ty: Ty) -> tuple[list[Ty], Ty]:
-    """Split a curried arrow into its parameter list and final result."""
-    params = []
-    while isinstance(ty, TArrow):
-        params.append(ty.param)
-        ty = ty.result
-    return params, ty
-
-
 def contains_arrow(ty: Ty) -> bool:
     return any(type(t) is TArrow for t in walk(ty))
 

@@ -145,18 +145,19 @@ class Checker:
         if decl.name in self.env.logicals:
             raise TypeError_("mismatch",
                              f"logical symbol {decl.name!r} redeclared", decl.loc)
-        params = [self.env.expand(t, decl.loc) for _, t in decl.params]
-        self.env.logicals[decl.name] = (params, self.env.expand(decl.ret, decl.loc))
+        decl.params = [(n, self.env.expand(t, decl.loc))
+                       for n, t in decl.params]
+        decl.ret = self.env.expand(decl.ret, decl.loc)
+        self.env.logicals[decl.name] = ([t for _, t in decl.params], decl.ret)
 
     def check_logical_body(self, decl: LogicalDecl):
         self.env.in_logic = True
         try:
-            for n, t in decl.params:
-                self.env.push(n, self.env.expand(t, decl.loc))
+            for n, t in decl.params:  # expanded by declare_logical
+                self.env.push(n, t)
             got = self.type_of(decl.body)
-            want = self.env.expand(decl.ret, decl.loc)
-            if got != want:
-                raise mismatch(want, got, decl.loc, f"body of {decl.name}")
+            if got != decl.ret:
+                raise mismatch(decl.ret, got, decl.loc, f"body of {decl.name}")
             for n, _ in reversed(decl.params):
                 self.env.pop(n)
         finally:

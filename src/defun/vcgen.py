@@ -407,10 +407,8 @@ class SmtEmitter:
         self.names = t.names  # every identifier of the program
         # defined symbol -> its unit
         self.units: dict[str, _Unit] = dict(BUILTIN_UNITS)
-        datatypes = [d for d in t.source_types + t.kont_decls
-                     if d.variants is not None]
         # in the datatype block after the builtin IntList and IntTree
-        for i, d in enumerate(datatypes, start=2):
+        for i, d in enumerate(t.source_types + t.kont_decls, start=2):
             self._datatype(i, d.name, d.variants)
         for i, decl in enumerate(t.prelude):
             if decl.body is None:
@@ -772,8 +770,7 @@ def _flat(sort: str) -> str:
             .replace(" ", "_"))
 
 
-def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str,
-             expected: dict | None = None) -> list[dict]:
+def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str) -> list[dict]:
     """Write one `.smt2` file per VC plus an `index.json` manifest;
     returns the manifest entries."""
     os.makedirs(outdir, exist_ok=True)
@@ -790,7 +787,6 @@ def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str,
             "definition": vc.origin[0],
             "kind": vc.kind,
             "loc": str(vc.origin[1]) if vc.origin[1] is not None else None,
-            "expected": (expected or {}).get(vc.name),
         })
     with open(os.path.join(outdir, "index.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)

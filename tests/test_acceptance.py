@@ -10,7 +10,9 @@ from defun.defunc import (
     assert_apply_exhaustive, assert_capture_correct, assert_first_order,
     defunctionalize,
 )
-from defun.emit import emit_whyml, parse_whyml, render_doc, w_pattern
+from defun.emit import (
+    WhymlDoc, WhymlWriter, emit_whyml, parse_whyml, render_doc,
+)
 from defun.errors import TransformError, TypeError_
 from defun.frontend import parse_formula, parse_program
 from defun.interp import equiv_check, eval_fo, render_value, vlist
@@ -127,16 +129,16 @@ class Canonicalizer:
             return PTuple(items), env
         return p, env  # PWild, PInt, PNil
 
-    def _arm_key(self, arm, render):
+    def _arm_key(self, arm):
         pat, body = arm
+        writer = WhymlWriter()
         try:
-            return (_wiped(w_pattern(pat)), _wiped(render(body)))
+            return (_wiped(writer.pattern(pat)), _wiped(writer.term(body)))
         except Exception:
-            return (_wiped(w_pattern(pat)), "")
+            return (_wiped(writer.pattern(pat)), "")
 
     # -- expressions -------------------------------------------------------
     def expr(self, e, env):
-        from defun.emit import w_expr
         from defun.syntax import (
             App, BinOp, Cons, ConstructorApp, If, LetDef, LetIn, Match, Seq,
             TupleE, Var,
@@ -168,7 +170,7 @@ class Canonicalizer:
                                 self.ty(d.ret) if d.ret else None, value),
                          self.expr(e.body, env2))
         if isinstance(e, Match):
-            arms = sorted(e.arms, key=lambda a: self._arm_key(a, w_expr))
+            arms = sorted(e.arms, key=self._arm_key)
             out = []
             for pat, body in arms:
                 p2, env2 = self.pat(pat, env)
@@ -179,7 +181,6 @@ class Canonicalizer:
     # -- formulas ----------------------------------------------------------
     def formula(self, f, env):
         import dataclasses
-        from defun.emit import w_formula
         from defun.syntax import (
             FConstr, FLet, FLogicApp, FMatch, Forall, FVar,
         )
@@ -204,7 +205,7 @@ class Canonicalizer:
             new, env2 = self.bind(f.name, env)
             return FLet(new, value, self.formula(f.body, env2))
         if isinstance(f, FMatch):
-            arms = sorted(f.arms, key=lambda a: self._arm_key(a, w_formula))
+            arms = sorted(f.arms, key=self._arm_key)
             out = []
             for pat, body in arms:
                 p2, env2 = self.pat(pat, env)
@@ -242,7 +243,6 @@ class Canonicalizer:
 
     def item(self, kind, item):
         from defun.defunc import PredDef
-        from defun.emit import w_formula
         from defun.syntax import LemmaDecl, LogicalDecl, TypeDecl
         if kind == "type":
             variants = sorted(
@@ -259,8 +259,7 @@ class Canonicalizer:
                 kp, env = self.bind(p.kont_param, env)
                 ap, env = self.bind(p.arg_param, env)
                 rp, env = self.bind(p.result_param, env)
-                arms = sorted(p.arms,
-                              key=lambda a: self._arm_key(a, w_formula))
+                arms = sorted(p.arms, key=self._arm_key)
                 new_arms = []
                 for pat, body in arms:
                     p2, env2 = self.pat(pat, env)
@@ -290,11 +289,10 @@ class Canonicalizer:
 
 
 def canonical_tokens(text: str) -> list:
-    from defun.emit import WhymlDoc
     doc = parse_whyml(text)
     canon = Canonicalizer()
     items = [(kind, canon.item(kind, item)) for kind, item in doc.items]
-    return render_doc(WhymlDoc("M", list(doc.imports), items)).split()
+    return render_doc(WhymlDoc("M", items)).split()
 
 
 # Reference rendering of the defunctionalized length program, written with

@@ -1,11 +1,17 @@
+import glob
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from defun.cli import main, parse_arg
 from defun.interp import NIL, UNIT_V, VConstr, VTuple
 
-from conftest import CORPUS, GOLDEN, corpus_text
+from conftest import CORPUS, GOLDEN, ROOT, corpus_text
 
 
 @pytest.fixture
@@ -185,3 +191,39 @@ class TestCorpus:
         bad.mkdir()
         (bad / "bad.mlg").write_text("let f (u : unit) : int = true")
         assert main(["corpus", str(bad), "--trials", "1"]) == 1
+
+
+def floor_interpreter():
+    """An interpreter of the `requires-python` floor that runs, or None."""
+    text = (ROOT / "pyproject.toml").read_text()
+    version = re.search(r'requires-python = ">=(\d+\.\d+)"', text).group(1)
+    candidates = [shutil.which(f"python{version}")] + sorted(glob.glob(
+        os.path.expanduser(f"~/.pyenv/versions/{version}.*/bin/python")))
+    for exe in filter(None, candidates):
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return exe
+    return None
+
+
+def corpus_outputs(exe, outdir) -> dict:
+    """Run `defun corpus` under `exe`; the bytes of the files it writes."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [exe, "-m", "defun.cli", "corpus", "corpus", "--trials", "5",
+         "-o", str(outdir)], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    files = list(outdir.glob("*.mlw")) + list(outdir.glob("*_vcs/*"))
+    return {str(p.relative_to(outdir)): p.read_bytes() for p in files}
+
+
+def test_floor_python_writes_the_same_files(tmp_path):
+    exe = floor_interpreter()
+    if exe is None:
+        pytest.skip("no interpreter of the declared floor version")
+    floor = corpus_outputs(exe, tmp_path / "floor")
+    assert floor
+    assert floor == corpus_outputs(sys.executable, tmp_path / "current")

@@ -125,6 +125,57 @@ class TestSurfaceRoundTrip:
         assert p2 == p
 
 
+# Each program reaches one place where the emitter meets a builtin: the
+# `use` lines must name exactly the theories of the builtins it wrote.
+IMPORT_CASES = {
+    "list_type": ("let f (l : int list) : int = 0", ["list.List"]),
+    "tree_type": ("let f (t : int tree) : int = 0", ["tree.Tree"]),
+    "list_literal": ("let f (x : int) : int = let l = [x] in x",
+                     ["list.List"]),
+    "list_constructor": (
+        "let f (x : int) : int = let l = Cons (x, Nil) in x", ["list.List"]),
+    "tree_constructor": (
+        "let f (x : int) : int = let t = Node (Empty, x, Empty) in x",
+        ["tree.Tree"]),
+    "list_pattern": (
+        "let f (x : int) : int = match [x] with | [] -> 0 | h :: _ -> h",
+        ["list.List"]),
+    "tree_pattern": (
+        "let f (x : int) : int =\n"
+        "  match Node (Empty, x, Empty) with | Empty -> 0 | Node (_, v, _) -> v",
+        ["tree.Tree"]),
+    "list_formula": (
+        "let f (x : int) : int = x\n"
+        "(*@ r = f x\n      ensures Cons r Nil = Cons x Nil *)", ["list.List"]),
+    "tree_formula": (
+        "let f (x : int) : int = x\n"
+        "(*@ r = f x\n      ensures Node Empty r Empty = Node Empty x Empty *)",
+        ["tree.Tree"]),
+    "length": (
+        "let f (l : int list) : int = 0\n"
+        "(*@ r = f l\n      ensures r <= length l *)",
+        ["list.List", "list.Length"]),
+    "height": (
+        "let f (t : int tree) : int = 0\n"
+        "(*@ r = f t\n      ensures r <= height t *)",
+        ["tree.Tree", "tree.Height"]),
+    "max": ("let f (x : int) : int = x\n"
+            "(*@ r = f x\n      ensures r = max x x *)", ["int.MinMax"]),
+    "div_code": ("let f (x : int) : int = x / 2", ["int.ComputerDivision"]),
+    "div_spec": ("let f (x : int) : int = x\n"
+                 "(*@ r = f x\n      ensures r / 1 = x *)",
+                 ["int.ComputerDivision"]),
+}
+
+
+@pytest.mark.parametrize("name", IMPORT_CASES)
+def test_imports_follow_the_builtins_written(name):
+    src, theories = IMPORT_CASES[name]
+    text = emit_whyml(pipeline(src)[2])
+    uses = [line for line in text.split("\n") if line.startswith("  use ")]
+    assert uses == [f"  use {m}" for m in ["int.Int"] + theories]
+
+
 class TestDivisionImport:
     DIV = """\
 let q (a : int) (b : int) : int = a / b

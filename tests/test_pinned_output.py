@@ -142,13 +142,13 @@ FAMILIES = {
 
 FROZEN = {
     "corpus":
-        "4a21a2afe37e4deac37ebfff4c207836e77bfde619391802c31b33114b54743c",
+        "e2b55a84a0417a321c8e71bc2d608502b179634f5206db94de2f7054bab89e5e",
     "genprog":
-        "8260ba626fe1603547fed68407ff57c336f45a1413bf1b32027021498c7f5166",
+        "2a7efab714ed3b1b7f07e825c52c62d139da886189460fb6dd82196128f34420",
     "ladders":
-        "d2f1e37bd726c83cf37d67e0575aa19afaf8e17e401d20720506fe50cb0717ee",
+        "36fc40d7a5c7b4cd88a7dfd77e9c770f56b39ed5f20343d3fe3b6f5c8aca1004",
     "handwritten":
-        "4c26d377325f01e4ad103de2d7b667b664eca39977adc3646933f838788ce819",
+        "abc6cc0f3ca38e0f1c41404473747ff2ca2739cd603ca1477887b0546302919f",
 }
 
 

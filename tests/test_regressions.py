@@ -6,12 +6,14 @@ import pytest
 
 from defun import frontend
 from defun.cli import main
+from defun.emit import emit_whyml, parse_whyml, render_doc
 from defun.errors import ParseError
 from defun.frontend import parse_formula, parse_program
 from defun.interp import render_value, vlist
 from defun.vcgen import run_solver
 
-from conftest import CORPUS
+from conftest import CORPUS, pipeline
+from test_vcgen import scope_errors, smt_files
 
 
 @pytest.fixture
@@ -295,3 +297,31 @@ class TestUnicodeDigits:
                      "--arg", "[1;²]"]) == 1
         assert capsys.readouterr().err == (
             "error: 1:4: illegal character '²'\n")
+
+
+class TestTypeAliases:
+    """Aliases are expanded everywhere, logical signatures included, and
+    declared in neither the WhyML nor the SMT files."""
+
+    PROGRAM = """\
+type il = int list
+type fn = int -> int
+(*@ function total (l : il) : int *)
+let twice (g : fn) (x : int) : int = g (g x)
+let f (l : il) : int = twice (fun (y : int) : int -> y) 0
+(*@ r = f l
+      ensures r <= total l
+      ensures 0 <= r *)
+"""
+
+    def test_whyml_round_trips(self):
+        text = emit_whyml(pipeline(self.PROGRAM)[2])
+        assert render_doc(parse_whyml(text)) == text
+        assert "function total (l : list int) : int" in text
+
+    def test_smt_files_are_closed(self):
+        files = smt_files(self.PROGRAM)
+        assert {"vc_f_0", "vc_f_1"} <= files.keys()
+        for name, text in files.items():
+            assert scope_errors(text) == [], name
+        assert "(declare-fun total (IntList) Int)" in files["vc_f_0"]

@@ -1,7 +1,7 @@
 from defun.frontend import parse_expr, parse_program
 from defun.syntax import (
     App, Lambda, LetDef, TArrow, TInt, TNamed, TTuple, Var, arrow,
-    arrow_args, contains_arrow, free_vars, int_list, normalize_curry,
+    contains_arrow, free_vars, int_list, normalize_curry,
     pattern_vars, INT, BOOL,
 )
 
@@ -16,8 +16,6 @@ class TestTypes:
     def test_arrow_helpers(self):
         t = arrow(INT, INT, BOOL)
         assert t == TArrow(INT, TArrow(INT, BOOL))
-        params, ret = arrow_args(t)
-        assert params == [INT, INT] and ret == BOOL
 
     def test_contains_arrow(self):
         assert contains_arrow(TTuple((TArrow(INT, INT), INT)))

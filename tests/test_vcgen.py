@@ -239,7 +239,7 @@ class TestSmtFiles:
             assert len(idx) == EXPECTED_COUNTS[name]
             for entry in idx:
                 assert set(entry) == {
-                    "name", "file", "definition", "kind", "loc", "expected"}
+                    "name", "file", "definition", "kind", "loc"}
                 assert (d / entry["file"]).exists()
                 loc = entry["loc"]
                 assert loc is None or re.fullmatch(r"\d+:\d+", loc), loc
