@@ -14,8 +14,7 @@ from .errors import SourceError
 from .frontend import parse_expr, parse_program
 from .interp import RunError, render_value
 from .syntax import (
-    BoolLit, Cons, ConstructorApp, IntLit, NilLit, TupleE, TypeDecl, UnitLit,
-    children, walk,
+    BoolLit, ConstructorApp, IntLit, TupleE, UnitLit, children, walk,
 )
 from .typecheck import Checker
 
@@ -43,10 +42,6 @@ def literal_value(e):
             stack.append(n.value)
         elif isinstance(n, UnitLit):
             stack.append(interp.UNIT_V)
-        elif isinstance(n, NilLit):
-            stack.append(interp.NIL)
-        elif isinstance(n, Cons):
-            stack.append(interp.VConstr("Cons", args))
         elif isinstance(n, ConstructorApp):
             stack.append(interp.VConstr(n.name, args))
         elif isinstance(n, TupleE):

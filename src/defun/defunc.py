@@ -13,14 +13,13 @@ from .specs import (
     translate_spec,
 )
 from .syntax import (
-    Absurd, App, ConstructorApp, Expr, ExprStmt, FBinOp, FConstr, FLet,
-    FLogicApp, FVar, Forall, Formula, LemmaDecl, LetDef, LetIn, Lambda, Match,
-    PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, Pattern, Program, Spec,
-    TArrow, TNamed, TTuple, TrueP, Ty, TypeDecl, Var, all_identifiers, arrow,
-    conj, contains_arrow, free_vars, int_list, int_tree, map_children, walk,
-    walk_scoped, INT,
+    Absurd, App, BinOp, ConstructorApp, Expr, ExprStmt, Forall, LemmaDecl,
+    LetDef, LetIn, Lambda, Match, PConstr, PInt, PTuple, PVar, PWild,
+    Pattern, Program, Spec, TArrow, TNamed, TTuple, TrueP, Ty, TypeDecl, Var,
+    all_identifiers, arrow, call, conj, contains_arrow, free_vars,
+    map_children, spine, walk, walk_scoped,
 )
-from .typecheck import Checker
+from .typecheck import BUILTIN_CONSTRUCTORS, Checker
 
 
 @dataclass
@@ -67,7 +66,7 @@ class PredDef:
     arg_ty: Ty
     result_param: str
     result_ty: Ty
-    arms: list  # (PConstr, Formula)
+    arms: list  # (PConstr, formula)
 
 
 @dataclass
@@ -317,12 +316,12 @@ class Defunctionalizer:
             bypassed={n for n, info in self.fns.items() if info.bypassed},
             names=self.taken)
 
-    def rewrite_formula_tys(self, f: Formula) -> Formula:
+    def rewrite_formula_tys(self, f: Expr) -> Expr:
         """Rewrite arrow types in quantifier binders (and nothing else)."""
         if type(f) is Forall:
             binders = [(n, self.rewrite_ty(t, f.loc)) for n, t in f.binders]
             return Forall(binders, self.rewrite_formula_tys(f.body), loc=f.loc)
-        if isinstance(f, Formula):
+        if isinstance(f, Expr):
             return map_children(f, self.rewrite_formula_tys)
         return f
 
@@ -385,8 +384,9 @@ class Defunctionalizer:
             pat = PConstr(s.ctor_name,
                           [PVar(n, self.rewrite_ty(t, s.origin))
                            for n, t in s.captured])
-            post_arms.append(
-                (pat, FLet(s.param[0], FVar(arg), self.site_post(s, result))))
+            post_arms.append((pat, LetIn(
+                LetDef(False, s.param[0], [], None, Var(arg)),
+                self.site_post(s, result))))
             param = LetDef(False, s.param[0], [],
                            self.rewrite_ty(s.param[1], s.origin),
                            Var(arg, ty=arg_ty))
@@ -396,15 +396,15 @@ class Defunctionalizer:
                        result, res_ty, post_arms)
         # the ensures clause names the returned value `result`, the
         # conventional post-state name, regardless of the post binder
-        spec = Spec(ensures=[FLogicApp(fam.post_name,
-                                       [FVar(k), FVar(arg), FVar("result")])])
+        spec = Spec(ensures=[call(fam.post_name,
+                                  [Var(k), Var(arg), Var("result")])])
         apply = LetDef(True, fam.apply_name,
                        [(k, fam.kont_ty), (arg, arg_ty)], res_ty,
                        Match(Var(k, ty=fam.kont_ty), apply_arms, ty=res_ty),
                        spec=spec)
         return post, apply
 
-    def site_post(self, s: LambdaSite, result: str) -> Formula:
+    def site_post(self, s: LambdaSite, result: str) -> Expr:
         """The post arm of one site, with the result named `result`."""
         if s.spec and s.spec.ensures:
             ensures = []
@@ -412,12 +412,12 @@ class Defunctionalizer:
                 g = f
                 if s.spec.arg_names:
                     g = subst_formula(
-                        g, {s.spec.arg_names[0]: FVar(s.param[0])})
+                        g, {s.spec.arg_names[0]: Var(s.param[0])})
                 if s.spec.result_names:
                     g = subst_formula(
-                        g, {s.spec.result_names[0]: FVar(result)})
+                        g, {s.spec.result_names[0]: Var(result)})
                 elif result != "result":
-                    g = subst_formula(g, {"result": FVar(result)})
+                    g = subst_formula(g, {"result": Var(result)})
                 ensures.append(self.rewrite_formula_tys(
                     expand_post_meta(g, self.family_for)))
             return conj(ensures)
@@ -425,9 +425,9 @@ class Defunctionalizer:
         if inner is not None:
             # an unannotated curried lambda returns the next closure in
             # the chain, so its post states the constructor equation
-            return FBinOp("=", FVar(result),
-                          FConstr(inner.ctor_name,
-                                  [FVar(n) for n, _ in inner.captured]))
+            return BinOp("=", Var(result),
+                         ConstructorApp(inner.ctor_name,
+                                        [Var(n) for n, _ in inner.captured]))
         return TrueP()
 
     # -- expression rewriting ---------------------------------------------
@@ -435,11 +435,7 @@ class Defunctionalizer:
     def rewrite(self, e: Expr) -> Expr:
         cls = type(e)
         if cls is App:
-            head, args = e, []
-            while type(head) is App:
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
+            head, args = spine(e)
             info = self.direct.get(id(head))
             if info is not None and len(args) >= info.arity:
                 return self.direct_call(head, info, args, e.loc)
@@ -534,10 +530,9 @@ class Defunctionalizer:
         cannot be exhausted by constructor patterns (ints, bools)."""
         ty = self.expand(ty)
         if isinstance(ty, TNamed):
-            if ty.name == "list":
-                return [("Nil", []), ("Cons", [INT, int_list()])]
-            if ty.name == "tree":
-                return [("Empty", []), ("Node", [int_tree(), INT, int_tree()])]
+            if ty.name in ("list", "tree"):
+                return [(c, fields) for c, (of, fields)
+                        in BUILTIN_CONSTRUCTORS.items() if of == ty]
             decl = self.env.type_decls.get(ty.name)
             if decl is not None and decl.variants is not None:
                 return list(decl.variants)
@@ -558,10 +553,6 @@ class Defunctionalizer:
         def head_ctor(p):
             if isinstance(p, PConstr):
                 return p.name, p.args
-            if isinstance(p, PNil):
-                return "Nil", []
-            if isinstance(p, PCons):
-                return "Cons", [p.head, p.tail]
             if isinstance(p, PTuple):
                 return "(tuple)", p.items
             if isinstance(p, PInt):

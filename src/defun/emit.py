@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from .defunc import PredDef, TargetProgram
 from .frontend import Parser, tokenize
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
-    FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, If,
-    IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit,
-    Not, PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, PostMeta, Program,
-    RELATIONS, Seq, Spec, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
-    TupleE, Ty, TypeDecl, UnitLit, Var, BOOL, INT, UNIT,
+    Absurd, App, BinOp, BoolLit, CONNECTIVES, ConstructorApp, ExprStmt,
+    Forall, If, IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match,
+    Not, PConstr, PInt, PTuple, PVar, PWild, PostMeta, Program, RELATIONS,
+    Seq, Spec, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TrueP, TupleE, Ty,
+    TypeDecl, UnitLit, Var, spine, BOOL, INT, UNIT,
 )
 
 # ---------------------------------------------------------------------------
@@ -26,15 +25,16 @@ STDLIB_IMPORTS = [
     ("int.Int", None),        # always
     ("int.ComputerDivision", "/"),  # `/` truncating toward zero
     ("int.MinMax", "max"),
-    ("list.List", "list"),
+    ("list.List", "type list"),
     ("list.Length", "length"),
-    ("tree.Tree", "tree"),
+    ("tree.Tree", "type tree"),
     ("tree.Height", "height"),
 ]
 
 # builtin constructors -> the key of the theory that declares them
 BUILTIN_CONSTRUCTORS = {
-    "Nil": "list", "Cons": "list", "Empty": "tree", "Node": "tree"}
+    "Nil": "type list", "Cons": "type list", "Empty": "type tree",
+    "Node": "type tree"}
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,10 @@ def build_doc(t: TargetProgram, module_name: str = "Defun") -> WhymlDoc:
 
 class WhymlWriter:
     """Writes WhyML text, and records in `used` each symbol it writes: a
-    named type, a logical function, a binary operator, a constructor, or
-    for the constructors of `list` and `tree` the name of their type.  The
-    keys of `STDLIB_IMPORTS` are among these symbols."""
+    named type `t` as `type t` (types and functions have separate
+    namespaces), the function a call applies, a binary operator, a
+    constructor, or for the constructors of `list` and `tree` their type.
+    The keys of `STDLIB_IMPORTS` are among these symbols."""
 
     def __init__(self):
         self.used: set[str] = set()
@@ -110,13 +111,14 @@ class WhymlWriter:
                 out.append(f"    match {p.kont_param} with")
                 for pat, f in p.arms:
                     out.append(f"    | {self.pattern(pat)} -> "
-                               f"{self.term(f, 3)}")
+                               f"{self.term(f, 3, True)}")
                 out.append("    end")
         elif kind == "applygroup":
             for i, d in enumerate(item):
                 self._letdef(d, "let rec function" if i == 0 else "with", out)
         elif kind == "lemma":
-            out.append(f"  lemma {item.name} : {self.term(item.formula, 1)}")
+            out.append(
+                f"  lemma {item.name} : {self.term(item.formula, 1, True)}")
         else:
             raise AssertionError(kind)
 
@@ -125,9 +127,9 @@ class WhymlWriter:
                    f"{self.ty(d.ret)}")
         if d.spec is not None:
             for f in d.spec.requires:
-                out.append(f"    requires {{ {self.term(f, 2)} }}")
+                out.append(f"    requires {{ {self.term(f, 2, True)} }}")
             for f in d.spec.ensures:
-                out.append(f"    ensures {{ {self.term(f, 2)} }}")
+                out.append(f"    ensures {{ {self.term(f, 2, True)} }}")
         out.append(f"  = {self.term(d.body, 1)}")
 
     def params(self, params) -> str:
@@ -138,7 +140,7 @@ class WhymlWriter:
         if cls is TInt:
             return "int"
         if cls is TNamed:
-            self.used.add(ty.name)
+            self.used.add("type " + ty.name)
             if ty.args:
                 s = ty.name + " " + " ".join(self.ty(a, atom=True)
                                              for a in ty.args)
@@ -167,86 +169,66 @@ class WhymlWriter:
                                            for q in p.args)
         if cls is PWild:
             return "_"
-        if cls is PCons:
-            self.used.add("list")
-            return (f"Cons {_enclosed(self.pattern(p.head))} "
-                    f"{_enclosed(self.pattern(p.tail))}")
-        if cls is PNil:
-            self.used.add("list")
-            return "Nil"
         if cls is PInt:
             return str(p.value) if p.value >= 0 else f"({p.value})"
         if cls is PTuple:
             return "(" + ", ".join(self.pattern(q) for q in p.items) + ")"
         raise AssertionError(f"unrenderable pattern {p!r}")
 
-    def term(self, x, indent: int = 0) -> str:
+    def term(self, x, indent: int = 0, prop: bool = False) -> str:
         """The WhyML text of an expression or a formula; `indent` is the
-        left margin of the lines of a multi-line `match`.  The node
+        left margin of the lines of a multi-line `match`.  Where `x` stands
+        as a proposition (`prop`), a relation is written bare; elsewhere,
+        in code or as an operand of a relation, it is enclosed.  The node
         classes are tested in the order of how often they occur."""
         cls = type(x)
-        if cls is Var or cls is FVar:
+        if cls is Var:
             return x.name
         if cls is App:
-            head, args = x, []
-            while type(head) is App:
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
+            head, args = spine(x)
+            if type(head) is Var:
+                self.used.add(head.name)
             return f"({self.term(head, indent)} {self._atoms(args, indent)})"
         if cls is BinOp:
             self.used.add(x.op)
-            return (f"({self._operand(x.left, indent)} {x.op} "
-                    f"{self._operand(x.right, indent)})")
-        if cls is FBinOp:
-            self.used.add(x.op)
-            s = (f"{self.term(x.left, indent)} {x.op} "
-                 f"{self.term(x.right, indent)}")
-            return s if x.op in RELATIONS else f"({s})"
-        if cls is IntLit or cls is FInt:
+            sub = x.op in CONNECTIVES
+            s = (f"{self._operand(x.left, indent, sub)} {x.op} "
+                 f"{self._operand(x.right, indent, sub)}")
+            return s if prop and x.op in RELATIONS else f"({s})"
+        if cls is IntLit:
             return str(x.value) if x.value >= 0 else f"({x.value})"
-        if cls is ConstructorApp or cls is FConstr:
+        if cls is ConstructorApp:
             self.used.add(BUILTIN_CONSTRUCTORS.get(x.name, x.name))
             if not x.args:
                 return x.name
             return f"({x.name} {self._atoms(x.args, indent)})"
-        if cls is FLogicApp:
-            self.used.add(x.name)
-            return f"({x.name} {self._atoms(x.args, indent)})"
         if cls is LetIn:
-            return self._let(x.defn.name, x.defn.body, x.body, indent)
-        if cls is FLet:
-            return self._let(x.name, x.value, x.body, indent)
-        if cls is Match or cls is FMatch:
+            return (f"let {x.defn.name} = {self.term(x.defn.body, indent)} "
+                    f"in {self.term(x.body, indent, prop)}")
+        if cls is Match:
             pad = "  " * indent
             lines = [f"match {self.term(x.scrutinee, indent)} with"]
             for p, b in x.arms:
                 lines.append(f"{pad}| {self.pattern(p)} -> "
-                             f"{self.term(b, indent + 1)}")
+                             f"{self.term(b, indent + 1, prop)}")
             lines.append(f"{pad}end")
             return "\n".join(lines)
         if cls is If:
             return (f"if {self.term(x.cond, indent)} then "
                     f"{self.term(x.then, indent)} "
                     f"else {self.term(x.els, indent)}")
-        if cls is TupleE or cls is FTuple:
+        if cls is TupleE:
             return ("(" + ", ".join(self.term(i, indent) for i in x.items)
                     + ")")
-        if cls is BoolLit or cls is FBool:
+        if cls is BoolLit:
             return "true" if x.value else "false"
-        if cls is Cons:
-            self.used.add("list")
-            return f"(Cons {self._atoms([x.head, x.tail], indent)})"
-        if cls is NilLit:
-            self.used.add("list")
-            return "Nil"
         if cls is TrueP:
             return "true"
         if cls is Not:
-            return f"(not {self.term(x.body, indent)})"
+            return f"(not {self.term(x.body, indent, True)})"
         if cls is Forall:
             binders = ", ".join(f"{n} : {self.ty(t)}" for n, t in x.binders)
-            return f"(forall {binders}. {self.term(x.body, indent)})"
+            return f"(forall {binders}. {self.term(x.body, indent, True)})"
         if cls is Seq:
             return (f"({self.term(x.first, indent)}; "
                     f"{self.term(x.second, indent)})")
@@ -259,17 +241,13 @@ class WhymlWriter:
                     f"{self.term(x.body, indent)})")
         raise AssertionError(f"unrenderable term {x!r}")
 
-    def _let(self, name: str, value, body, indent: int) -> str:
-        return (f"let {name} = {self.term(value, indent)} in "
-                + self.term(body, indent))
-
     def _atoms(self, args, indent: int) -> str:
         return " ".join(_enclosed(self.term(a, indent)) for a in args)
 
-    def _operand(self, e, indent: int) -> str:
+    def _operand(self, e, indent: int, prop: bool) -> str:
         # an `if`, `let` or `match` reaches as far right as it can, so it is
         # enclosed
-        s = self.term(e, indent)
+        s = self.term(e, indent, prop)
         return f"({s})" if type(e) in (If, LetIn, Match) else s
 
 
@@ -661,8 +639,8 @@ class WhymlParser(Parser):
             return p
         self.fail("expected a pattern")
 
-    # -- formulas: the frontend's grammar, with `let`/`match` and curried
-    # constructor application ----------------------------------------------
+    # -- formulas: the frontend's grammar, with the `let` of a post arm and
+    # curried constructor application --------------------------------------
 
     def parse_fnot(self):
         t = self.peek()
@@ -672,19 +650,8 @@ class WhymlParser(Parser):
             self.expect("op", "=")
             value = self.parse_fterm()
             self.expect("kw", "in")
-            return FLet(name, value, self.parse_formula(), loc=t.loc)
-        if self.at("kw", "match"):
-            self.next()
-            scrut = self.parse_fterm()
-            self.expect("kw", "with")
-            arms = []
-            while self.at("punct", "|"):
-                self.next()
-                pat = self.parse_wpattern()
-                self.expect("op", "->")
-                arms.append((pat, self.parse_formula()))
-            self.expect("kw", "end")
-            return FMatch(scrut, arms, loc=t.loc)
+            return LetIn(LetDef(False, name, [], None, value),
+                         self.parse_formula(), loc=t.loc)
         return super().parse_fnot()
 
     def parse_fapp(self):
@@ -695,7 +662,7 @@ class WhymlParser(Parser):
         args = []
         while self._formula_atom_start():
             args.append(self.parse_fatom())
-        return FConstr(t.text, args, loc=t.loc)
+        return ConstructorApp(t.text, args, loc=t.loc)
 
 
 def parse_whyml(text: str) -> WhymlDoc:
@@ -735,10 +702,6 @@ def s_pattern(p) -> str:
         return p.name
     if isinstance(p, PInt):
         return str(p.value) if p.value >= 0 else f"(-{-p.value})"
-    if isinstance(p, PNil):
-        return "[]"
-    if isinstance(p, PCons):
-        return f"{_s_pat_atom(p.head)} :: {s_pattern(p.tail)}"
     if isinstance(p, PConstr):
         if not p.args:
             return p.name
@@ -752,24 +715,25 @@ def s_pattern(p) -> str:
 
 def _s_pat_atom(p) -> str:
     s = s_pattern(p)
-    if isinstance(p, PCons) or (isinstance(p, PConstr) and len(p.args) == 1):
+    if isinstance(p, PConstr) and len(p.args) == 1:
         return f"({s})"
     return s
 
 
 def s_expr(e) -> str:
+    """Surface text of an expression or a formula: every compound term is
+    enclosed, and an application is written `(f a1 ... an)`, which both
+    grammars read."""
     if isinstance(e, IntLit):
         return str(e.value) if e.value >= 0 else f"(-{-e.value})"
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
+    if isinstance(e, TrueP):
+        return "true"
     if isinstance(e, UnitLit):
         return "()"
-    if isinstance(e, NilLit):
-        return "[]"
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Cons):
-        return f"{_s_atom(e.head)} :: {s_expr(e.tail)}"
     if isinstance(e, ConstructorApp):
         if not e.args:
             return e.name
@@ -795,13 +759,24 @@ def s_expr(e) -> str:
         arms = " ".join(f"| {s_pattern(p)} -> {_s_arm(b)}" for p, b in e.arms)
         return f"(match {s_expr(e.scrutinee)} with {arms} end)"
     if isinstance(e, App):
-        return f"({s_expr(e.fn)} {_s_atom(e.arg)})"
+        head, args = spine(e)
+        return f"({s_expr(head)} " + " ".join(map(_s_atom, args)) + ")"
     if isinstance(e, Lambda):
         spec = ""
         if e.spec is not None:
             spec = f" [@gospel {{| {_s_spec_clauses(e.spec)} |}}]"
         return (f"(fun{spec}{_s_params(e.params)} : {s_ty(e.ret)} -> "
                 f"{s_expr(e.body)})")
+    if isinstance(e, Not):
+        return f"(not {s_expr(e.body)})"
+    if isinstance(e, Forall):
+        binders = ", ".join(
+            n if t is None else f"{n} : {s_ty(t)}" for n, t in e.binders)
+        return f"(forall {binders}. {s_expr(e.body)})"
+    if isinstance(e, PostMeta):
+        parts = [f"post ({s_expr(e.fn)} : {s_ty(e.fn_ty)})"]
+        parts += [_s_atom(a) for a in e.args + [e.result]]
+        return "(" + " ".join(parts) + ")"
     if isinstance(e, Absurd):
         raise AssertionError("absurd has no surface syntax")
     raise AssertionError(f"unrenderable expression {e!r}")
@@ -809,9 +784,9 @@ def s_expr(e) -> str:
 
 def _s_atom(e) -> str:
     s = s_expr(e)
-    if s.startswith("(") or s.startswith("["):
+    if s.startswith("("):
         return s
-    if isinstance(e, (Var, IntLit, BoolLit, UnitLit, NilLit)):
+    if isinstance(e, (Var, IntLit, BoolLit, UnitLit, TrueP)):
         return s
     if isinstance(e, ConstructorApp) and not e.args:
         return s
@@ -832,65 +807,12 @@ def _s_params(params) -> str:
     return out
 
 
-def s_formula(f) -> str:
-    if isinstance(f, TrueP):
-        return "true"
-    if isinstance(f, FInt):
-        return str(f.value) if f.value >= 0 else f"(-{-f.value})"
-    if isinstance(f, FBool):
-        return "true" if f.value else "false"
-    if isinstance(f, FVar):
-        return f.name
-    if isinstance(f, FConstr):
-        if not f.args:
-            return f.name
-        return f.name + " " + " ".join(_s_fatom(a) for a in f.args)
-    if isinstance(f, FLogicApp):
-        return f.name + " " + " ".join(_s_fatom(a) for a in f.args)
-    if isinstance(f, FBinOp):
-        if f.op in RELATIONS:
-            return f"{_s_fterm(f.left)} {f.op} {_s_fterm(f.right)}"
-        return f"({s_formula(f.left)} {f.op} {s_formula(f.right)})"
-    if isinstance(f, FTuple):
-        return "(" + ", ".join(s_formula(x) for x in f.items) + ")"
-    if isinstance(f, Not):
-        return f"(not {s_formula(f.body)})"
-    if isinstance(f, Forall):
-        binders = ", ".join(
-            n if t is None else f"{n} : {s_ty(t)}" for n, t in f.binders)
-        return f"(forall {binders}. {s_formula(f.body)})"
-    if isinstance(f, PostMeta):
-        parts = [f"post ({s_formula(f.fn)} : {s_ty(f.fn_ty)})"]
-        parts += [_s_fatom(a) for a in f.args]
-        parts.append(_s_fatom(f.result))
-        return "(" + " ".join(parts) + ")"
-    raise AssertionError(f"unrenderable formula {f!r}")
-
-
-def _s_fterm(f) -> str:
-    s = s_formula(f)
-    if isinstance(f, (FConstr, FLogicApp)) and " " in s:
-        return f"({s})"
-    return s
-
-
-def _s_fatom(f) -> str:
-    s = s_formula(f)
-    if s.startswith("("):
-        return s
-    if isinstance(f, (FVar, FInt, FBool, TrueP)):
-        return s
-    if isinstance(f, FConstr) and not f.args:
-        return s
-    return f"({s})"
-
-
 def _s_spec_clauses(spec: Spec) -> str:
     parts = []
     for f in spec.requires:
-        parts.append(f"requires {s_formula(f)}")
+        parts.append(f"requires {s_expr(f)}")
     for f in spec.ensures:
-        parts.append(f"ensures {s_formula(f)}")
+        parts.append(f"ensures {s_expr(f)}")
     return " ".join(parts)
 
 
@@ -933,7 +855,7 @@ def emit_surface(p: Program) -> str:
             if item.spec is not None:
                 out.append(_s_spec_block(item.spec, item.name))
         elif isinstance(item, LemmaDecl):
-            out.append(f"(*@ lemma {item.name} : {s_formula(item.formula)} *)")
+            out.append(f"(*@ lemma {item.name} : {s_expr(item.formula)} *)")
         elif isinstance(item, ExprStmt):
             out.append(f"{s_expr(item.expr)};;")
     return "\n".join(out) + "\n"

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from .errors import LexError, Loc, ParseError
 from .syntax import (
-    App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp, FBool,
-    FConstr, FInt, FLogicApp, FTuple, FVar, Forall, If, IntLit, LemmaDecl,
-    LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit, Not, PConstr, PCons,
-    PInt, PNil, PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow,
-    TNamed, TTuple, TooDeep, TrueP, TupleE, TypeDecl, UnitLit, Var, children,
-    FORMULA_OP, formula_of_binop, normalize_program, BOOL, INT, UNIT,
+    App, BinOp, BoolLit, ConstructorApp, ExprStmt, Forall, If, IntLit,
+    LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, Not, PConstr, PInt,
+    PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow, TNamed, TTuple,
+    TooDeep, TrueP, TupleE, TypeDecl, UnitLit, Var, children, FORMULA_OP,
+    formula_of_binop, normalize_program, BOOL, INT, UNIT,
 )
 
 KEYWORDS = {
@@ -164,12 +163,12 @@ def _binop(t: Token, left, right):
 
 
 def _cons(t: Token, left, right):
-    return Cons(left, right, loc=t.loc)
+    return ConstructorApp("Cons", [left, right], loc=t.loc)
 
 
 def _fbinop(t: Token, left, right):
     op = FORMULA_OP.get(t.text, (t.text, False))[0]  # `&&` is `/\`, ...
-    return FBinOp(op, left, right, loc=t.loc)
+    return BinOp(op, left, right, loc=t.loc)
 
 
 def _table(*levels) -> dict:
@@ -489,14 +488,13 @@ class Parser:
             return ConstructorApp(t.text, [], loc=t.loc)
         if t.kind == "punct" and t.text == "[":
             self.next()
-            if self.at("punct", "]"):
-                self.next()
-                return NilLit(loc=t.loc)
-            items = self.separated(self.parse_expr_noseq, "op", ";")
+            items = []
+            if not self.at("punct", "]"):
+                items = self.separated(self.parse_expr_noseq, "op", ";")
             self.expect("punct", "]")
-            out = NilLit(loc=t.loc)
+            out = ConstructorApp("Nil", [], loc=t.loc)
             for item in reversed(items):
-                out = Cons(item, out, loc=t.loc)
+                out = ConstructorApp("Cons", [item, out], loc=t.loc)
             return out
         if t.kind == "punct" and t.text == "(":
             self.next()
@@ -521,7 +519,7 @@ class Parser:
         p = self.parse_pattern_atom()
         if self.at("op", "::"):
             loc = self.next().loc
-            return PCons(p, self.parse_pattern(), loc=loc)
+            return PConstr("Cons", [p, self.parse_pattern()], loc=loc)
         return p
 
     def parse_pattern_atom(self):
@@ -549,7 +547,7 @@ class Parser:
         if t.kind == "punct" and t.text == "[":
             self.next()
             self.expect("punct", "]")
-            return PNil(loc=t.loc)
+            return PConstr("Nil", [], loc=t.loc)
         if t.kind == "punct" and t.text == "(":
             self.next()
             items = self.separated(lambda: self.parse_ascribed(t.loc),
@@ -655,7 +653,7 @@ class Parser:
         if op.kind == "op" and op.text in ("=", "<", "<=", ">", ">="):
             self.next()
             return formula_of_binop(op.text, t, self.parse_fterm(), op.loc)
-        if isinstance(t, FBool):
+        if type(t) is BoolLit:
             return TrueP(loc=op.loc) if t.value else Not(TrueP(), loc=op.loc)
         return t
 
@@ -696,47 +694,46 @@ class Parser:
         t = self.peek()
         if t.kind == "ident" and t.text != "post":
             self.next()
-            args = []
+            e = Var(t.text, loc=t.loc)
             while self._formula_atom_start():
-                args.append(self.parse_fatom())
-            if args:
-                return FLogicApp(t.text, args, loc=t.loc)
-            return FVar(t.text, loc=t.loc)
+                arg = self.parse_fatom()
+                e = App(e, arg, loc=arg.loc)
+            return e
         if t.kind == "uident":
             self.next()
             args = []
             while self._formula_atom_start():
                 arg = self.parse_fatom()
-                if isinstance(arg, FTuple) and not args:
+                if type(arg) is TupleE and not args:
                     args = arg.items
                     break
                 args.append(arg)
-            return FConstr(t.text, args, loc=t.loc)
+            return ConstructorApp(t.text, args, loc=t.loc)
         return self.parse_fatom()
 
     def parse_fatom(self):
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return FInt(int(t.text), loc=t.loc)
+            return IntLit(int(t.text), loc=t.loc)
         if t.kind == "op" and t.text == "-" and self.at("int", k=1):
             self.next()
             lit = self.next()
-            return FInt(-int(lit.text), loc=t.loc)
+            return IntLit(-int(lit.text), loc=t.loc)
         if t.kind == "kw" and t.text in ("true", "false"):
             self.next()
-            return FBool(t.text == "true", loc=t.loc)
+            return BoolLit(t.text == "true", loc=t.loc)
         if t.kind == "ident":
             self.next()
-            return FVar(t.text, loc=t.loc)
+            return Var(t.text, loc=t.loc)
         if t.kind == "uident":
             self.next()
-            return FConstr(t.text, [], loc=t.loc)
+            return ConstructorApp(t.text, [], loc=t.loc)
         if t.kind == "punct" and t.text == "(":
             self.next()
             items = self.separated(self.parse_formula, "punct", ",")
             self.expect("punct", ")")
-            return FTuple(items, loc=t.loc) if len(items) > 1 else items[0]
+            return TupleE(items, loc=t.loc) if len(items) > 1 else items[0]
         self.fail("expected a formula")
 
 

@@ -18,11 +18,10 @@ import random
 from .defunc import TargetProgram
 from .errors import Loc
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
-    FBool, FConstr, FInt, FLogicApp, FTuple, FVar, Formula, If, IntLit,
-    Lambda, LetDef, LetIn, LogicalDecl, Match, NilLit, Not, PCons, PConstr,
-    PInt, PNil, PTuple, PVar, PWild, Program, Seq, TBool, TInt, TNamed,
-    TTuple, TUnit, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var,
+    Absurd, App, BinOp, BoolLit, ConstructorApp, Expr, ExprStmt, If, IntLit,
+    Lambda, LetDef, LetIn, LogicalDecl, Match, Not, PConstr, PInt, PTuple,
+    PVar, PWild, Program, Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
+    TupleE, Ty, TypeDecl, UnitLit, Var, spine,
 )
 
 # ---------------------------------------------------------------------------
@@ -411,10 +410,10 @@ class Evaluator:
             return self._app(e, names)
         if cls is Match:
             return self._match(e, names)
-        if cls in (IntLit, BoolLit, UnitLit, NilLit) or (
+        if cls in (IntLit, BoolLit, UnitLit) or (
                 cls is ConstructorApp and not e.args):
-            value = {UnitLit: UNIT_V, NilLit: NIL}.get(cls) or (
-                VConstr(e.name) if cls is ConstructorApp else e.value)
+            value = (UNIT_V if cls is UnitLit else
+                     VConstr(e.name) if cls is ConstructorApp else e.value)
             return _Code(lambda env: value, total=True)
         if cls is Lambda:
             fn = self._function(None, e.params, e.body, names)
@@ -456,8 +455,6 @@ class Evaluator:
         # the rest are strict in their operands
         if cls is BinOp:
             operands, name = [e.left, e.right], None
-        elif cls is Cons:
-            operands, name = [e.head, e.tail], "Cons"
         elif cls is ConstructorApp:
             operands, name = e.args, e.name
         elif cls is TupleE:
@@ -587,10 +584,6 @@ class Evaluator:
             return lambda v, env: v == n
         if cls is PTuple:
             kind, name, args = VTuple, None, pat.items
-        elif cls is PNil:
-            kind, name, args = VConstr, "Nil", []
-        elif cls is PCons:
-            kind, name, args = VConstr, "Cons", [pat.head, pat.tail]
         elif cls is PConstr:
             kind, name, args = VConstr, pat.name, pat.args
         else:
@@ -797,26 +790,27 @@ class FormulaEvaluator:
                              if d.body is not None])
         self.ev.load(fuel)
 
-    def eval(self, f: Formula, env: dict):
+    def eval(self, f: Expr, env: dict):
         cls = type(f)
-        if cls is FVar:
+        if cls is Var:
             if f.name in env:
                 return env[f.name]
             raise NotExecutable(f.name)
-        if cls is FInt or cls is FBool:
+        if cls is IntLit or cls is BoolLit:
             return f.value
         if cls is TrueP:
             return True
-        if cls in (FTuple, FConstr, FLogicApp):
-            args = [self.eval(a, env)
-                    for a in (f.items if cls is FTuple else f.args)]
-            if cls is FLogicApp:
-                return self.call_logical(f.name, args)
-            return (VTuple(tuple(args)) if cls is FTuple
-                    else VConstr(f.name, tuple(args)))
+        if cls is App:
+            head, args = spine(f)
+            return self.call_logical(head.name,
+                                     [self.eval(a, env) for a in args])
+        if cls is TupleE:
+            return VTuple(tuple(self.eval(a, env) for a in f.items))
+        if cls is ConstructorApp:
+            return VConstr(f.name, tuple(self.eval(a, env) for a in f.args))
         if cls is Not:
             return not self.eval(f.body, env)
-        if cls is not FBinOp:
+        if cls is not BinOp:
             raise NotExecutable(cls.__name__)
         op = f.op
         if op in _CONNECTIVES:

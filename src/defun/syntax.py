@@ -1,4 +1,10 @@
-"""Core AST: types, expressions, patterns, formulas, specs and programs.
+"""Core AST: types, patterns, terms, specs and programs.
+
+Code and specifications share one term language: a formula is built from
+the expression nodes, plus the four formula-only nodes `Not`, `Forall`,
+`TrueP` and `PostMeta`.  List sugar is not a node either: `[]`, `h :: t`
+and `[a; b]` are the builtin constructors `Nil` and `Cons`, in
+expressions and in patterns.
 
 All nodes are plain dataclasses.  Structural equality deliberately ignores
 source locations and resolved types so that round-trip tests can compare
@@ -129,18 +135,6 @@ class PInt(Pattern):
 
 
 @dataclass
-class PNil(Pattern):
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class PCons(Pattern):
-    head: Pattern
-    tail: Pattern
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
 class PConstr(Pattern):
     name: str
     args: list
@@ -155,136 +149,6 @@ class PTuple(Pattern):
 
 def pattern_vars(p: Pattern) -> list[tuple[str, Optional[Ty]]]:
     return [(q.name, q.ty) for q in walk(p) if type(q) is PVar]
-
-
-# ---------------------------------------------------------------------------
-# Formulas (specification language)
-
-
-class Formula:
-    pass
-
-
-@dataclass
-class FVar(Formula):
-    name: str
-    ty: Optional[Ty] = _meta()
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FInt(Formula):
-    value: int
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FBool(Formula):
-    value: bool
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FConstr(Formula):
-    name: str
-    args: list
-    ty: Optional[Ty] = _meta()
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FLogicApp(Formula):
-    """Application of a declared logical function or predicate symbol."""
-
-    name: str
-    args: list
-    ty: Optional[Ty] = _meta()
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FBinOp(Formula):
-    """Binary operator, spelled as in WhyML: arithmetic `+ - * /`,
-    relations `= < <=` and connectives `/\\ \\/ ->`."""
-
-    op: str
-    left: Formula
-    right: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FTuple(Formula):
-    items: list
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Not(Formula):
-    body: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Forall(Formula):
-    binders: list  # (name, Ty)
-    body: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class TrueP(Formula):
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class PostMeta(Formula):
-    """`post (f : t) a1 ... an r` before expansion into concrete posts.
-
-    The arrow type must be written out explicitly; it selects the family.
-    """
-
-    fn: Formula
-    fn_ty: Ty
-    args: list
-    result: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FLet(Formula):
-    """let-binding inside a formula; used by generated post predicates."""
-
-    name: str
-    value: Formula
-    body: Formula
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class FMatch(Formula):
-    """Pattern match at the formula level; only generated, never parsed."""
-
-    scrutinee: Formula
-    arms: list  # (Pattern, Formula)
-    loc: Optional[Loc] = _meta()
-
-
-# The relational formula operators.  They print without parentheses, and
-# their operands are typed together; the other operators are arithmetic
-# or connectives.
-RELATIONS = frozenset({"=", "<", "<="})
-
-FALSE = Not(TrueP())
-
-
-def conj(fs: list) -> Formula:
-    if not fs:
-        return TrueP()
-    out = fs[0]
-    for f in fs[1:]:
-        out = FBinOp("/\\", out, f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +222,6 @@ class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
-    ty: Optional[Ty] = _meta()
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class NilLit(Expr):
-    ty: Optional[Ty] = _meta()
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
-class Cons(Expr):
-    head: Expr
-    tail: Expr
     ty: Optional[Ty] = _meta()
     loc: Optional[Loc] = _meta()
 
@@ -456,6 +306,82 @@ class App(Expr):
     loc: Optional[Loc] = _meta()
 
 
+def call(name: str, args, loc=None) -> Expr:
+    """`name a1 ... an` as a spine of `App` nodes."""
+    out = Var(name, loc=loc)
+    for a in args:
+        out = App(out, a, loc=loc)
+    return out
+
+
+def spine(e: Expr) -> tuple[Expr, list]:
+    """The head of an application spine and its arguments, in order."""
+    args = []
+    while type(e) is App:
+        args.append(e.arg)
+        e = e.fn
+    args.reverse()
+    return e, args
+
+
+# ---------------------------------------------------------------------------
+# Formulas
+#
+# A formula is built from the expression nodes: a logical call is an `App`
+# spine headed by a `Var`, and `/\`, `\/` and `->` are `BinOp` spellings.
+# A relation `= < <=` stands as a proposition in a spec clause, a lemma or
+# a post arm, and as an operand of a connective, `not` or `forall`; the
+# WhyML writer reads that position.  Only the nodes below exist in
+# formulas alone.
+
+
+@dataclass
+class Not(Expr):
+    body: Expr
+    loc: Optional[Loc] = _meta()
+
+
+@dataclass
+class Forall(Expr):
+    binders: list  # (name, Ty)
+    body: Expr
+    loc: Optional[Loc] = _meta()
+
+
+@dataclass
+class TrueP(Expr):
+    loc: Optional[Loc] = _meta()
+
+
+@dataclass
+class PostMeta(Expr):
+    """`post (f : t) a1 ... an r` before expansion into concrete posts.
+
+    The arrow type must be written out explicitly; it selects the family.
+    """
+
+    fn: Expr
+    fn_ty: Ty
+    args: list
+    result: Expr
+    loc: Optional[Loc] = _meta()
+
+
+RELATIONS = frozenset({"=", "<", "<="})
+CONNECTIVES = frozenset({"/\\", "\\/", "->"})
+
+FALSE = Not(TrueP())
+
+
+def conj(fs: list) -> Expr:
+    if not fs:
+        return TrueP()
+    out = fs[0]
+    for f in fs[1:]:
+        out = BinOp("/\\", out, f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Top-level items and programs
 
@@ -471,7 +397,7 @@ class TypeDecl:
 @dataclass
 class LemmaDecl:
     name: str
-    formula: Formula
+    formula: Expr
     loc: Optional[Loc] = _meta()
 
 
@@ -598,14 +524,14 @@ def _map_value(v, f):
 
 
 def binds(node) -> list[tuple[object, tuple[str, ...]]]:
-    """Each child of `node` with the variable names that `node` binds in it."""
+    """Each child of `node` with the variable names that `node` binds in it.
+    A spec is left out: its names are scoped by its header, not by the
+    binders of the code around it."""
     cls = type(node)
     if cls is LetIn:
         d = node.defn
         return [(d, (d.name,) if d.is_rec else ()), (node.body, (d.name,))]
-    if cls is FLet:
-        return [(node.value, ()), (node.body, (node.name,))]
-    if cls is Match or cls is FMatch:
+    if cls is Match:
         out = [(node.scrutinee, ())]
         for pat, body in node.arms:
             out += [(pat, ()), (body, tuple(n for n, _ in pattern_vars(pat)))]
@@ -615,16 +541,15 @@ def binds(node) -> list[tuple[object, tuple[str, ...]]]:
         names = tuple(n for n, _ in node.params)
     elif cls is Forall:
         names = tuple(n for n, _ in node.binders)
-    return [(c, names) for c in children(node)]
+    return [(c, names) for c in children(node) if type(c) is not Spec]
 
 
-_BINDERS = frozenset({LetIn, FLet, Match, FMatch, LetDef, Lambda,
-                      LogicalDecl, Forall})
+_BINDERS = frozenset({LetIn, Match, LetDef, Lambda, LogicalDecl, Forall})
 
 
 def walk_scoped(root):
     """`walk`, yielding each node with the names bound around it below
-    `root`."""
+    `root`; the specs of definitions and lambdas are not walked."""
     stack = [(root, frozenset())]
     pop, push = stack.pop, stack.append
     while stack:
@@ -672,12 +597,12 @@ FORMULA_OP = {
 }
 
 
-def formula_of_binop(op: str, left: Formula, right: Formula, loc=None):
+def formula_of_binop(op: str, left: Expr, right: Expr, loc=None):
     """`left op right` for an expression operator `op`, as a formula."""
     fop, swap = FORMULA_OP[op]
     if swap:
         left, right = right, left
-    return FBinOp(fop, left, right, loc=loc)
+    return BinOp(fop, left, right, loc=loc)
 
 
 def free_vars(e: Expr) -> list[tuple[str, Ty]]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from .errors import Loc, TypeError_
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, ExprStmt, FBinOp,
-    FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, If,
-    IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, NilLit, Not,
-    PCons, PConstr, PInt, PNil, PTuple, PVar, PWild, PostMeta, Program,
-    RELATIONS, Seq, Spec, TArrow, TNamed, TTuple, TrueP, TupleE, Ty, TypeDecl,
-    UnitLit, Var, arrow, BOOL, INT, UNIT, int_list, int_tree,
+    Absurd, App, BinOp, BoolLit, CONNECTIVES, ConstructorApp, ExprStmt, Forall,
+    If, IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, Not,
+    PConstr, PInt, PTuple, PVar, PWild, PostMeta, Program, RELATIONS, Seq,
+    Spec, TArrow, TNamed, TTuple, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var,
+    arrow, spine, BOOL, INT, UNIT, int_list, int_tree,
 )
 
 # Builtin data types: lists and trees of integers (the monomorphic subset).
@@ -39,7 +38,10 @@ class TypeEnv:
         self.type_decls: dict[str, TypeDecl] = {}
         self.constructors: dict[str, tuple[Ty, list[Ty]]] = dict(BUILTIN_CONSTRUCTORS)
         self.logicals: dict[str, tuple[list[Ty], Ty]] = dict(BUILTIN_LOGICALS)
-        self.in_logic = False
+        # what is being checked: "code", "logic" (the body of a logical
+        # definition, which may name logical symbols) or "spec" (a formula,
+        # which may apply only logical symbols)
+        self.mode = "code"
 
     def push(self, name: str, ty: Ty):
         self.var_type.setdefault(name, []).append(ty)
@@ -82,15 +84,6 @@ class TypeEnv:
                 return self.expand(decl.alias, loc)
             return ty
         return ty
-
-
-# arithmetic and connective formula operators -> the types an operand may
-# have, the result type, and what an operand is called in a diagnostic
-_FORMULA_OPERANDS = {
-    **{op: ((INT,), INT, f"operand of {op}") for op in ("+", "-", "*", "/")},
-    **{op: (("prop", BOOL), "prop", "logical operand")
-       for op in ("/\\", "\\/", "->")},
-}
 
 
 def mismatch(expected, found, loc, what="expression"):
@@ -151,7 +144,7 @@ class Checker:
         self.env.logicals[decl.name] = ([t for _, t in decl.params], decl.ret)
 
     def check_logical_body(self, decl: LogicalDecl):
-        self.env.in_logic = True
+        self.env.mode = "logic"
         try:
             for n, t in decl.params:  # expanded by declare_logical
                 self.env.push(n, t)
@@ -161,7 +154,7 @@ class Checker:
             for n, _ in reversed(decl.params):
                 self.env.pop(n)
         finally:
-            self.env.in_logic = False
+            self.env.mode = "code"
 
     def check_letdef(self, d: LetDef, toplevel: bool):
         loc = d.loc
@@ -217,7 +210,12 @@ class Checker:
     # -- expressions -------------------------------------------------------
 
     def type_of(self, e) -> Ty:
-        ty = self._type_of(e)
+        """The type of `e`, stored on it; in a formula, "prop" for a
+        proposition."""
+        if self.env.mode == "spec":
+            ty = self.formula_type(e)
+        else:
+            ty = self._type_of(e)
         e.ty = ty
         return ty
 
@@ -229,31 +227,22 @@ class Checker:
             return INT
         if isinstance(e, BoolLit):
             return BOOL
-        if isinstance(e, NilLit):
-            return int_list()
         if isinstance(e, Absurd):
             return e.ty if e.ty is not None else UNIT
         if isinstance(e, Var):
             if e.name in env.var_type:
                 return env.lookup(e.name, e.loc)
-            if env.in_logic and e.name in env.logicals:
+            if env.mode == "logic" and e.name in env.logicals:
                 params, ret = env.logicals[e.name]
                 return arrow(*params, ret)
-            if not env.in_logic and e.name in env.logicals:
+            if env.mode == "code" and e.name in env.logicals:
                 raise TypeError_(
                     "unbound-variable",
                     f"logical symbol {e.name!r} cannot appear in program code",
                     e.loc)
+            where = " in formula" if env.mode == "spec" else ""
             raise TypeError_("unbound-variable",
-                             f"unbound variable {e.name!r}", e.loc)
-        if isinstance(e, Cons):
-            h = self.type_of(e.head)
-            if h != INT:
-                raise mismatch(INT, h, e.loc, "list element")
-            t = self.type_of(e.tail)
-            if t != int_list():
-                raise mismatch(int_list(), t, e.loc, "list tail")
-            return int_list()
+                             f"unbound variable {e.name!r}{where}", e.loc)
         if isinstance(e, ConstructorApp):
             info = env.constructors.get(e.name)
             if info is None:
@@ -355,6 +344,8 @@ class Checker:
                 env.pop(n)
             return arrow(*[t for _, t in params], e.ret)
         if isinstance(e, App):
+            if env.mode == "spec":
+                return self.logical_call(e)
             ft = self.type_of(e.fn)
             if not isinstance(ft, TArrow):
                 raise TypeError_("not-a-function",
@@ -387,16 +378,6 @@ class Checker:
         if isinstance(pat, PInt):
             if ty != INT:
                 raise mismatch(ty, INT, pat.loc, "integer pattern")
-            return
-        if isinstance(pat, PNil):
-            if ty != int_list():
-                raise mismatch(ty, int_list(), pat.loc, "list pattern")
-            return
-        if isinstance(pat, PCons):
-            if ty != int_list():
-                raise mismatch(ty, int_list(), pat.loc, "list pattern")
-            self.check_pattern(pat.head, INT, binds)
-            self.check_pattern(pat.tail, int_list(), binds)
             return
         if isinstance(pat, PConstr):
             info = env.constructors.get(pat.name)
@@ -478,109 +459,64 @@ class Checker:
 
     def check_formula(self, f, extra: dict, loc) -> None:
         """Check a formula as a proposition.  `extra` maps spec-scoped names
-        (header names, result, forall binders) to types; program variables in
-        scope remain visible."""
-        t = self.formula_type(f, dict(extra))
+        (header names, result) to types; program variables in scope remain
+        visible."""
+        env = self.env
+        mode, env.mode = env.mode, "spec"
+        for n, t in extra.items():
+            env.push(n, t)
+        try:
+            t = self.type_of(f)
+        finally:
+            env.mode = mode
+            for n in extra:
+                env.pop(n)
         if t not in ("prop", BOOL):
             raise TypeError_("mismatch",
                              f"formula has type {t}, expected a proposition",
                              getattr(f, "loc", loc))
 
-    def formula_type(self, f, scope: dict):
-        env = self.env
-        if isinstance(f, FVar):
-            if f.name in scope:
-                f.ty = scope[f.name]
-            elif f.name in env.var_type:
-                f.ty = env.lookup(f.name, f.loc)
-            else:
-                raise TypeError_("unbound-variable",
-                                 f"unbound variable {f.name!r} in formula", f.loc)
-            return f.ty
-        if isinstance(f, FInt):
-            return INT
-        if isinstance(f, FBool):
-            return BOOL
-        if isinstance(f, TrueP):
-            return "prop"
-        if isinstance(f, FConstr):
-            info = env.constructors.get(f.name)
-            if info is None:
-                raise TypeError_("unbound-variable",
-                                 f"unknown constructor {f.name!r}", f.loc)
-            result_ty, fields = info
-            if len(f.args) != len(fields):
-                raise TypeError_(
-                    "constructor-arity",
-                    f"constructor {f.name} expects {len(fields)} arguments",
-                    f.loc)
-            for a, want in zip(f.args, fields):
-                got = self.formula_type(a, scope)
-                if got != want:
-                    raise mismatch(want, got, f.loc, f"argument of {f.name}")
-            f.ty = result_ty
-            return result_ty
-        if isinstance(f, FLogicApp):
-            sig = env.logicals.get(f.name)
-            if sig is None:
-                raise TypeError_("unbound-variable",
-                                 f"unknown logical symbol {f.name!r}", f.loc)
-            params, ret = sig
-            if len(f.args) != len(params):
+    def formula_type(self, f):
+        """The type of a term of a formula: the propositions are typed
+        here, every other term by `_type_of`."""
+        cls = type(f)
+        if cls is BinOp and f.op in RELATIONS:
+            lt = self.type_of(f.left)
+            rt = self.type_of(f.right)
+            if f.op != "=":
+                if lt != INT or rt != INT:
+                    raise mismatch(INT, lt if lt != INT else rt, f.loc,
+                                   "comparison operand")
+            elif lt != rt:
+                raise mismatch(lt, rt, f.loc, "right operand of =")
+            elif isinstance(lt, TArrow):
                 raise TypeError_(
                     "mismatch",
-                    f"logical symbol {f.name} expects {len(params)} arguments",
-                    f.loc)
-            for a, want in zip(f.args, params):
-                got = self.formula_type(a, scope)
-                if got != want:
-                    raise mismatch(want, got, f.loc, f"argument of {f.name}")
-            f.ty = ret
-            return ret
-        if isinstance(f, FBinOp):
-            if f.op in RELATIONS:
-                lt = self.formula_type(f.left, scope)
-                rt = self.formula_type(f.right, scope)
-                if f.op != "=":
-                    if lt != INT or rt != INT:
-                        raise mismatch(INT, lt if lt != INT else rt, f.loc,
-                                       "comparison operand")
-                elif lt != rt:
-                    raise mismatch(lt, rt, f.loc, "right operand of =")
-                elif isinstance(lt, TArrow):
-                    raise TypeError_(
-                        "mismatch",
-                        "equality on function values is not supported", f.loc)
-                return "prop"
+                    "equality on function values is not supported", f.loc)
+            return "prop"
+        if cls is BinOp and f.op in CONNECTIVES:
             # each operand is checked before the next is typed
-            allowed, result, what = _FORMULA_OPERANDS[f.op]
-            for side in (f.left, f.right):
-                got = self.formula_type(side, scope)
-                if got not in allowed:
-                    raise mismatch(allowed[0], got, f.loc, what)
-            return result
-        if isinstance(f, FTuple):
-            return TTuple(tuple(self.formula_type(x, scope) for x in f.items))
-        if isinstance(f, Not):
-            got = self.formula_type(f.body, scope)
-            if got not in ("prop", BOOL):
-                raise mismatch("prop", got, f.loc, "negated formula")
+            self.proposition(f.left, f.loc, "logical operand")
+            self.proposition(f.right, f.loc, "logical operand")
             return "prop"
-        if isinstance(f, Forall):
-            binders = []
+        if cls is Not:
+            self.proposition(f.body, f.loc, "negated formula")
+            return "prop"
+        if cls is TrueP:
+            return "prop"
+        if cls is Forall:
+            env = self.env
+            f.binders = [(n, INT if t is None else env.expand(t, f.loc))
+                         for n, t in f.binders]
             for n, t in f.binders:
-                t = INT if t is None else env.expand(t, f.loc)
-                binders.append((n, t))
-            f.binders = binders
-            inner = dict(scope)
-            inner.update(binders)
-            got = self.formula_type(f.body, inner)
-            if got not in ("prop", BOOL):
-                raise mismatch("prop", got, f.loc, "quantified body")
+                env.push(n, t)
+            self.proposition(f.body, f.loc, "quantified body")
+            for n, _ in reversed(f.binders):
+                env.pop(n)
             return "prop"
-        if isinstance(f, PostMeta):
-            f.fn_ty = env.expand(f.fn_ty, f.loc)
-            fn_got = self.formula_type(f.fn, scope)
+        if cls is PostMeta:
+            f.fn_ty = self.env.expand(f.fn_ty, f.loc)
+            fn_got = self.type_of(f.fn)
             if fn_got != f.fn_ty:
                 raise mismatch(f.fn_ty, fn_got, f.loc, "post function")
             ty = f.fn_ty
@@ -588,23 +524,41 @@ class Checker:
                 if not isinstance(ty, TArrow):
                     raise TypeError_("mismatch",
                                      "post applied to too many arguments", f.loc)
-                got = self.formula_type(a, scope)
+                got = self.type_of(a)
                 if got != ty.param:
                     raise mismatch(ty.param, got, f.loc, "post argument")
                 ty = ty.result
-            got = self.formula_type(f.result, scope)
+            got = self.type_of(f.result)
             if got != ty:
                 raise mismatch(ty, got, f.loc, "post result")
             return "prop"
-        if isinstance(f, FLet):
-            vt = self.formula_type(f.value, scope)
-            inner = dict(scope)
-            inner[f.name] = vt
-            return self.formula_type(f.body, inner)
-        if isinstance(f, FMatch):
-            # only generated; assume well-formed
-            return "prop"
-        raise AssertionError(f"unhandled formula {f!r}")
+        return self._type_of(f)
+
+    def proposition(self, f, loc, what):
+        got = self.type_of(f)
+        if got not in ("prop", BOOL):
+            raise mismatch("prop", got, loc, what)
+
+    def logical_call(self, e: App) -> Ty:
+        """A formula applies only logical symbols, to all their
+        arguments."""
+        head, args = spine(e)
+        name = head.name if type(head) is Var else None
+        sig = self.env.logicals.get(name)
+        if sig is None:
+            raise TypeError_("unbound-variable",
+                             f"unknown logical symbol {name!r}", head.loc)
+        params, ret = sig
+        if len(args) != len(params):
+            raise TypeError_(
+                "mismatch",
+                f"logical symbol {name} expects {len(params)} arguments",
+                head.loc)
+        for a, want in zip(args, params):
+            got = self.type_of(a)
+            if got != want:
+                raise mismatch(want, got, head.loc, f"argument of {name}")
+        return ret
 
 
 def check_program(p: Program) -> Program:

@@ -18,11 +18,10 @@ from .defunc import TargetProgram
 from .errors import VCError
 from .specs import subst_formula
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, Cons, ConstructorApp, FBinOp, FBool, FConstr,
-    FInt, FLet, FLogicApp, FMatch, FTuple, FVar, Forall, Formula, If, IntLit,
-    LetDef, LetIn, Lambda, Match, NilLit, Not, PCons, PConstr, PInt, PNil,
-    PTuple, PVar, PWild, Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
-    TupleE, Ty, UnitLit, Var, conj, formula_of_binop, FALSE, INT,
+    Absurd, App, BinOp, BoolLit, ConstructorApp, Expr, Forall, If, IntLit,
+    LetDef, LetIn, Lambda, Match, Not, PConstr, PInt, PTuple, PVar, PWild,
+    Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP, TupleE, Ty, UnitLit, Var,
+    call, conj, formula_of_binop, spine, FALSE, INT,
 )
 
 # ---------------------------------------------------------------------------
@@ -33,8 +32,8 @@ from .syntax import (
 class VC:
     name: str
     binders: list  # (name, Ty) declared context
-    hypotheses: list  # Formula
-    goal: Formula
+    hypotheses: list  # formula
+    goal: Expr
     origin: tuple  # (definition name, loc, kind)
 
     @property
@@ -49,19 +48,19 @@ IS_PREFIX = "is-"
 SEL_PREFIX = "sel-"
 
 
-def tester(ctor: str, term: Formula) -> Formula:
-    return FLogicApp(IS_PREFIX + ctor, [term])
+def tester(ctor: str, term: Expr) -> Expr:
+    return call(IS_PREFIX + ctor, [term])
 
 
-def selector(ctor: str, i: int, term: Formula) -> Formula:
-    return FLogicApp(f"{SEL_PREFIX}{ctor}-{i}", [term])
+def selector(ctor: str, i: int, term: Expr) -> Expr:
+    return call(f"{SEL_PREFIX}{ctor}-{i}", [term])
 
 
-def pattern_cond(pat, scrut: Formula):
+def pattern_cond(pat, scrut: Expr):
     """(condition, bindings) for matching `scrut` against `pat`; bindings
     map pattern variables to selector terms."""
-    conds: list[Formula] = []
-    binds: dict[str, Formula] = {}
+    conds: list[Expr] = []
+    binds: dict[str, Expr] = {}
 
     def go(pat, term):
         if isinstance(pat, PWild):
@@ -70,15 +69,7 @@ def pattern_cond(pat, scrut: Formula):
             binds[pat.name] = term
             return
         if isinstance(pat, PInt):
-            conds.append(FBinOp("=", term, FInt(pat.value)))
-            return
-        if isinstance(pat, PNil):
-            conds.append(tester("Nil", term))
-            return
-        if isinstance(pat, PCons):
-            conds.append(tester("Cons", term))
-            go(pat.head, selector("Cons", 0, term))
-            go(pat.tail, selector("Cons", 1, term))
+            conds.append(BinOp("=", term, IntLit(pat.value)))
             return
         if isinstance(pat, PConstr):
             conds.append(tester(pat.name, term))
@@ -87,8 +78,7 @@ def pattern_cond(pat, scrut: Formula):
             return
         if isinstance(pat, PTuple):
             for i, sub in enumerate(pat.items):
-                go(sub, FLogicApp(f"{SEL_PREFIX}tup{len(pat.items)}-{i}",
-                                  [term]))
+                go(sub, call(f"{SEL_PREFIX}tup{len(pat.items)}-{i}", [term]))
             return
         raise AssertionError(f"unhandled pattern {pat!r}")
 
@@ -124,7 +114,7 @@ class VCGen:
             if isinstance(item, LetDef) and item.params:
                 self.defs[item.name] = item
         self.vcs: list[VC] = []
-        self.lemma_hyps: list[Formula] = []
+        self.lemma_hyps: list[Expr] = []
         self._counters: dict[str, int] = {}
         self.defn: LetDef | None = None  # the definition being walked
         # (binder, sort, facts) of each binding in scope, outermost first
@@ -147,19 +137,19 @@ class VCGen:
             hyps + [f for _, _, facts in self.frames for f in facts], goal,
             (self.defn.name, loc, kind)))
 
-    def close(self, mark: int, f: Formula) -> Formula:
+    def close(self, mark: int, f: Expr) -> Expr:
         """`f` under the frames opened since `mark`, which are dropped."""
         frames = self.frames
         while len(frames) > mark:
             b, ty, facts = frames.pop()
-            f = Forall([(b, ty)], FBinOp("->", conj(facts), f))
+            f = Forall([(b, ty)], BinOp("->", conj(facts), f))
         return f
 
     # -- expression -> term/wp --------------------------------------------
 
-    def wp(self, e, post, env: dict, hyps: list) -> Formula:
+    def wp(self, e, post, env: dict, hyps: list) -> Expr:
         """Weakest precondition of `e`, in tail position, against `post`
-        (term -> Formula).  `env` substitutes program variables by terms;
+        (term -> formula).  `env` substitutes program variables by terms;
         `hyps` is the path to `e`.  A tail `if`/`match` copies `post` into
         each branch."""
         mark = len(self.frames)
@@ -180,8 +170,8 @@ class VCGen:
                 c = self.term(e.cond, env, hyps)
                 then = self.wp(e.then, post, env, hyps + [c])
                 els = self.wp(e.els, post, env, hyps + [Not(c)])
-                out = FBinOp("/\\", FBinOp("->", c, then),
-                             FBinOp("->", Not(c), els))
+                out = BinOp("/\\", BinOp("->", c, then),
+                            BinOp("->", Not(c), els))
             elif cls is Match:
                 s = self.term(e.scrutinee, env, hyps)
                 out = self.split(e, s, post, env, hyps)
@@ -191,7 +181,7 @@ class VCGen:
             out = TrueP()
         return self.close(mark, out)
 
-    def split(self, e: Match, scrut: Formula, post, env, hyps) -> Formula:
+    def split(self, e: Match, scrut: Expr, post, env, hyps) -> Expr:
         """A tail `match`: one implication per arm that can be reached."""
         parts = []
         for path, body, env2 in match_arms(e, scrut, env):
@@ -199,19 +189,21 @@ class VCGen:
                 self._side(hyps + path, FALSE, e.loc, "absurd-unreachable")
                 continue
             inner = self.wp(body, post, env2, hyps + path)
-            parts.append(FBinOp("->", conj(path), inner) if path else inner)
+            parts.append(BinOp("->", conj(path), inner) if path else inner)
         return conj(parts)
 
-    def term(self, e, env: dict, hyps: list) -> Formula:
-        """The term for the value of `e` in non-tail position."""
+    def term(self, e, env: dict, hyps: list) -> Expr:
+        """The term for the value of `e` in non-tail position: `e` itself
+        where it has no variable, call, branch or `>`, `>=`, `&&` and `||`,
+        which formulas spell otherwise."""
         cls = type(e)
         if cls is Var:
-            return env.get(e.name, FVar(e.name))
+            return env.get(e.name, e)
         if cls is BinOp:
             left = self.term(e.left, env, hyps)
             return formula_of_binop(e.op, left, self.term(e.right, env, hyps))
         if cls is IntLit:
-            return FInt(e.value)
+            return e
         if cls is App:
             return self.call(e, env, hyps)
         if cls is If:
@@ -229,18 +221,12 @@ class VCGen:
             self.term(e.first, env, hyps)
             return self.term(e.second, env, hyps)
         if cls is ConstructorApp:
-            return FConstr(e.name, [self.term(a, env, hyps) for a in e.args])
+            return ConstructorApp(e.name,
+                                  [self.term(a, env, hyps) for a in e.args])
         if cls is TupleE:
-            return FTuple([self.term(x, env, hyps) for x in e.items])
-        if cls is Cons:
-            head = self.term(e.head, env, hyps)
-            return FConstr("Cons", [head, self.term(e.tail, env, hyps)])
-        if cls is BoolLit:
-            return FBool(e.value)
-        if cls is NilLit:
-            return FConstr("Nil", [])
-        if cls is UnitLit:
-            return FConstr("unit_v", [])
+            return TupleE([self.term(x, env, hyps) for x in e.items])
+        if cls is BoolLit or cls is UnitLit:
+            return e
         if cls is Absurd:
             self._side(hyps, FALSE, e.loc, "absurd-unreachable")
             raise _Unreachable
@@ -248,45 +234,41 @@ class VCGen:
             raise VCError("lambda value reached wp")
         raise AssertionError(f"unhandled expression {e!r}")
 
-    def join(self, ty, branches, hyps) -> FVar:
+    def join(self, ty, branches, hyps) -> Var:
         """The value of a branching node: a fresh binder `j`, under the
         fact that some branch can yield `j` (Flanagan & Saxe, POPL 2001).
         `branches` are (path, body, env) triples; each body is walked as a
         value, so a branching node inside it joins again."""
-        j = FVar(self.fresh("join_"))
+        j = Var(self.fresh("join_"))
         facts = []
         for path, body, env in branches:
             # "body can yield j" = not (every outcome t of body differs
             # from j); for a call-free body this is just j = t
             mark = len(self.frames)
             try:
-                w = Not(FBinOp("=", j, self.term(body, env, hyps + path)))
+                w = Not(BinOp("=", j, self.term(body, env, hyps + path)))
             except _Unreachable:
                 w = TrueP()
             w = self.close(mark, w)
             fact = w.body if isinstance(w, Not) else Not(w)
-            facts.append(FBinOp("->", conj(path), fact) if path else fact)
+            facts.append(BinOp("->", conj(path), fact) if path else fact)
         self.frames.append((j.name, ty, [conj(facts)]))
         return j
 
-    def call(self, e: App, env, hyps) -> Formula:
-        head, args = e, []
-        while isinstance(head, App):
-            args.append(head.arg)
-            head = head.fn
-        args.reverse()
+    def call(self, e: App, env, hyps) -> Expr:
+        head, args = spine(e)
         if not isinstance(head, Var):
             raise VCError("higher-order application reached wp")
         ts = [self.term(a, env, hyps) for a in args]
         d = self.defs.get(head.name)
         if d is None or d.spec is None:
             # spec-less functions become defined symbols in the SMT encoding
-            return FLogicApp(head.name, ts)
+            return call(head.name, ts)
         inst = {n: t for (n, _), t in zip(d.params, ts)}
         requires = [subst_formula(f, inst) for f in d.spec.requires]
         if requires:
             self._side(hyps, conj(requires), head.loc, "precondition-at-call")
-        res = FVar(self.fresh("res_"))
+        res = Var(self.fresh("res_"))
         inst["result"] = res
         self.frames.append((res.name, d.ret, [subst_formula(f, inst)
                                               for f in d.spec.ensures]))
@@ -303,7 +285,7 @@ class VCGen:
 
         body = d.body
         if isinstance(body, Match) and isinstance(body.scrutinee, Var):
-            cases = match_arms(body, FVar(body.scrutinee.name), {})
+            cases = match_arms(body, body.scrutinee, {})
         else:
             cases = [([], body, {})]
 
@@ -348,11 +330,11 @@ def _trivial(t):
     return TrueP()
 
 
-def match_arms(e: Match, scrut: Formula, env: dict):
+def match_arms(e: Match, scrut: Expr, env: dict):
     """(path, body, env) per arm of `e` on `scrut`: the arm's condition
     after the negations of the earlier arms', and `env` extended with the
     arm's pattern bindings."""
-    seen: list[Formula] = []
+    seen: list[Expr] = []
     for pat, body in e.arms:
         cond, binds = pattern_cond(pat, scrut)
         path = [Not(c) for c in seen] + (
@@ -419,11 +401,12 @@ class SmtEmitter:
                              decl.ret, lambda em, env, decl=decl:
                              em.term(decl.body, env))
         for i, p in enumerate(t.post_defs):
-            match = FMatch(FVar(p.kont_param), p.arms)
+            # a post is a formula: no arm matching is `true`
             self._define((POST_DEFS, i), p.name,
                          [(p.kont_param, p.kont_ty), (p.arg_param, p.arg_ty),
                           (p.result_param, p.result_ty)], TBool(),
-                         lambda em, env, match=match: em.term(match, env))
+                         lambda em, env, p=p: em._match(
+                             Var(p.kont_param), p.arms, env, _true))
         # spec-less program functions become recursive definitions;
         # functions carrying specs stay uninterpreted (their contracts
         # drive the WP), declared for the spec-less bodies that call them
@@ -546,18 +529,21 @@ class SmtEmitter:
         the program.  The node classes are tested in the order of how often
         they occur in VCs."""
         cls = type(x)
-        if cls is FVar or cls is Var:
+        if cls is Var:
             s = env.get(x.name)
             if s is None:
                 self.used.add(x.name)
                 return x.name
             return s
-        if cls is FLogicApp:
-            name = x.name
+        if cls is App:
+            head, args = spine(x)
+            if type(head) is not Var:
+                raise VCError("higher-order application in SMT encoding")
+            name = head.name
             if name.startswith(IS_PREFIX):
                 ctor = name[len(IS_PREFIX):]
                 self.used.add(ctor)
-                return f"((_ is {ctor}) {self.term(x.args[0], env)})"
+                return f"((_ is {ctor}) {self.term(args[0], env)})"
             if name.startswith(SEL_PREFIX):
                 ctor, idx = name[len(SEL_PREFIX):].rsplit("-", 1)
                 if ctor.startswith("tup"):
@@ -566,23 +552,26 @@ class SmtEmitter:
                 else:
                     sel = f"{ctor}_{idx}"
                 self.used.add(sel)
-                return f"({sel} {self.term(x.args[0], env)})"
-            return self._app(name, x.args, env)
-        if cls is FBinOp or cls is BinOp:
+                return f"({sel} {self.term(args[0], env)})"
+            return self._app(name, args, env)
+        if cls is BinOp:
             op = SMT_OPS[x.op]
             self.used.add(op)
             return f"({op} {self.term(x.left, env)} {self.term(x.right, env)})"
-        if cls is FInt or cls is IntLit:
+        if cls is IntLit:
             return str(x.value) if x.value >= 0 else f"(- {-x.value})"
-        if cls is FLet:
-            return self._let(x.name, x.value, x.body, env)
+        if cls is LetIn:
+            d = x.defn
+            v = self.term(d.body, env)
+            env2 = dict(env)
+            env2[d.name] = d.name
+            return f"(let (({d.name} {v})) {self.term(x.body, env2)})"
         if cls is TrueP:
             return "true"
         if cls is Not:
             return f"(not {self.term(x.body, env)})"
-        if cls is FMatch:
-            return self._match(x.scrutinee, x.arms, env, _true)
         if cls is Match:
+            # in code, no arm matching is an `absurd` value
             arms = [(p, a) for p, a in x.arms if type(a) is not Absurd]
             return self._match(x.scrutinee, arms, env,
                                lambda: self._absurd(x.ty))
@@ -594,33 +583,18 @@ class SmtEmitter:
         if cls is If:
             return (f"(ite {self.term(x.cond, env)} {self.term(x.then, env)} "
                     f"{self.term(x.els, env)})")
-        if cls is FConstr or cls is ConstructorApp:
+        if cls is ConstructorApp:
             return self._app(x.name, x.args, env)
-        if cls is App:
-            head, args = x, []
-            while isinstance(head, App):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            if not isinstance(head, Var):
-                raise VCError("higher-order application in SMT encoding")
-            return self._app(head.name, args, env)
-        if cls is LetIn:
-            return self._let(x.defn.name, x.defn.body, x.body, env)
         if cls is Seq:
             return self.term(x.second, env)
-        if cls is FTuple or cls is TupleE:
+        if cls is TupleE:
             n = len(x.items)
             self._tuple(n)
             self.used.add(f"mk-tup{n}")
             return (f"(mk-tup{n} "
                     + " ".join(self.term(i, env) for i in x.items) + ")")
-        if cls is FBool or cls is BoolLit:
+        if cls is BoolLit:
             return "true" if x.value else "false"
-        if cls is Cons:
-            return self._app("Cons", [x.head, x.tail], env)
-        if cls is NilLit:
-            return self._app("Nil", [], env)
         if cls is UnitLit:
             return self._app("unit_v", [], env)
         raise VCError(f"cannot encode {x!r}")
@@ -632,12 +606,6 @@ class SmtEmitter:
         return ("(" + name + " "
                 + " ".join(self.term(a, env) for a in args) + ")")
 
-    def _let(self, name: str, value, body, env: dict) -> str:
-        v = self.term(value, env)
-        env2 = dict(env)
-        env2[name] = name
-        return f"(let (({name} {v})) {self.term(body, env2)})"
-
     def _match(self, scrut, arms, env: dict, default) -> str:
         """An `ite` chain over the (pattern, body) `arms` on `scrut`, up to
         the first arm that always matches; `default()` renders the value
@@ -645,7 +613,7 @@ class SmtEmitter:
         at = {SCRUTINEE: self.term(scrut, env)}
         chain = []
         for pat, body in arms:
-            cond, binds = pattern_cond(pat, FVar(SCRUTINEE))
+            cond, binds = pattern_cond(pat, Var(SCRUTINEE))
             cond_s = self.term(cond, at)
             env2 = dict(env)
             for n, term in binds.items():

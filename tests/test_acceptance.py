@@ -18,7 +18,7 @@ from defun.frontend import parse_formula, parse_program
 from defun.interp import equiv_check, eval_fo, render_value, vlist
 from defun.specs import expand_post_meta
 from defun.syntax import (
-    FBinOp, FConstr, FLogicApp, Forall, FVar, TArrow, TNamed, INT,
+    BinOp, ConstructorApp, Forall, TArrow, TNamed, Var, call, INT,
 )
 from defun.typecheck import Checker
 from defun.vcgen import emit_smt, generate_vcs, run_solver, solver_command
@@ -107,14 +107,10 @@ class Canonicalizer:
 
     # -- patterns ----------------------------------------------------------
     def pat(self, p, env):
-        from defun.syntax import PCons, PConstr, PTuple, PVar
+        from defun.syntax import PConstr, PTuple, PVar
         if isinstance(p, PVar):
             new, env = self.bind(p.name, env)
             return PVar(new), env
-        if isinstance(p, PCons):
-            h, env = self.pat(p.head, env)
-            t, env = self.pat(p.tail, env)
-            return PCons(h, t), env
         if isinstance(p, PConstr):
             args = []
             for a in p.args:
@@ -127,7 +123,7 @@ class Canonicalizer:
                 a2, env = self.pat(a, env)
                 items.append(a2)
             return PTuple(items), env
-        return p, env  # PWild, PInt, PNil
+        return p, env  # PWild, PInt
 
     def _arm_key(self, arm):
         pat, body = arm
@@ -137,91 +133,52 @@ class Canonicalizer:
         except Exception:
             return (_wiped(writer.pattern(pat)), "")
 
-    # -- expressions -------------------------------------------------------
-    def expr(self, e, env):
+    # -- expressions and formulas ------------------------------------------
+    def term(self, e, env):
         from defun.syntax import (
-            App, BinOp, Cons, ConstructorApp, If, LetDef, LetIn, Match, Seq,
-            TupleE, Var,
+            App, BinOp, ConstructorApp, Forall, If, LetDef, LetIn, Match, Not,
+            Seq, TupleE, Var,
         )
         if isinstance(e, Var):
             return Var(env.get(e.name, self.g(e.name)))
         if isinstance(e, App):
-            return App(self.expr(e.fn, env), self.expr(e.arg, env))
+            return App(self.term(e.fn, env), self.term(e.arg, env))
         if isinstance(e, ConstructorApp):
             return ConstructorApp(self.g(e.name),
-                                  [self.expr(a, env) for a in e.args])
+                                  [self.term(a, env) for a in e.args])
         if isinstance(e, BinOp):
-            return BinOp(e.op, self.expr(e.left, env),
-                         self.expr(e.right, env))
-        if isinstance(e, Cons):
-            return Cons(self.expr(e.head, env), self.expr(e.tail, env))
+            return BinOp(e.op, self.term(e.left, env),
+                         self.term(e.right, env))
         if isinstance(e, TupleE):
-            return TupleE([self.expr(x, env) for x in e.items])
+            return TupleE([self.term(x, env) for x in e.items])
         if isinstance(e, Seq):
-            return Seq(self.expr(e.first, env), self.expr(e.second, env))
+            return Seq(self.term(e.first, env), self.term(e.second, env))
         if isinstance(e, If):
-            return If(self.expr(e.cond, env), self.expr(e.then, env),
-                      self.expr(e.els, env))
+            return If(self.term(e.cond, env), self.term(e.then, env),
+                      self.term(e.els, env))
+        if isinstance(e, Not):
+            return Not(self.term(e.body, env))
+        if isinstance(e, Forall):
+            binders = []
+            for name, ty in e.binders:
+                new, env = self.bind(name, env)
+                binders.append((new, self.ty(ty)))
+            return Forall(binders, self.term(e.body, env))
         if isinstance(e, LetIn):
             d = e.defn
-            value = self.expr(d.body, env)
+            value = self.term(d.body, env)
             new, env2 = self.bind(d.name, env)
             return LetIn(LetDef(d.is_rec, new, [],
                                 self.ty(d.ret) if d.ret else None, value),
-                         self.expr(e.body, env2))
+                         self.term(e.body, env2))
         if isinstance(e, Match):
             arms = sorted(e.arms, key=self._arm_key)
             out = []
             for pat, body in arms:
                 p2, env2 = self.pat(pat, env)
-                out.append((p2, self.expr(body, env2)))
-            return Match(self.expr(e.scrutinee, env), out, absurd=e.absurd)
-        return e  # literals, Absurd
-
-    # -- formulas ----------------------------------------------------------
-    def formula(self, f, env):
-        import dataclasses
-        from defun.syntax import (
-            FConstr, FLet, FLogicApp, FMatch, Forall, FVar,
-        )
-        if isinstance(f, FVar):
-            if f.name == "result":
-                return f
-            return FVar(env.get(f.name, self.g(f.name)))
-        if isinstance(f, FConstr):
-            return FConstr(self.g(f.name),
-                           [self.formula(a, env) for a in f.args])
-        if isinstance(f, FLogicApp):
-            return FLogicApp(self.g(f.name),
-                             [self.formula(a, env) for a in f.args])
-        if isinstance(f, Forall):
-            binders = []
-            for name, ty in f.binders:
-                new, env = self.bind(name, env)
-                binders.append((new, self.ty(ty)))
-            return Forall(binders, self.formula(f.body, env))
-        if isinstance(f, FLet):
-            value = self.formula(f.value, env)
-            new, env2 = self.bind(f.name, env)
-            return FLet(new, value, self.formula(f.body, env2))
-        if isinstance(f, FMatch):
-            arms = sorted(f.arms, key=self._arm_key)
-            out = []
-            for pat, body in arms:
-                p2, env2 = self.pat(pat, env)
-                out.append((p2, self.formula(body, env2)))
-            return FMatch(self.formula(f.scrutinee, env), out)
-        if hasattr(f, "__dataclass_fields__"):
-            kw = {}
-            for field in dataclasses.fields(f):
-                if field.name in ("loc", "ty"):
-                    continue
-                v = getattr(f, field.name)
-                kw[field.name] = (self.formula(v, env)
-                                  if hasattr(v, "__dataclass_fields__")
-                                  else v)
-            return type(f)(**kw)
-        return f
+                out.append((p2, self.term(body, env2)))
+            return Match(self.term(e.scrutinee, env), out, absurd=e.absurd)
+        return e  # literals, TrueP, Absurd
 
     # -- top-level items ---------------------------------------------------
     def letdef(self, d):
@@ -235,11 +192,11 @@ class Canonicalizer:
         spec = None
         if d.spec is not None:
             spec = Spec(
-                requires=[self.formula(r, env) for r in d.spec.requires],
-                ensures=[self.formula(x, env) for x in d.spec.ensures])
+                requires=[self.term(r, env) for r in d.spec.requires],
+                ensures=[self.term(x, env) for x in d.spec.ensures])
         return LetDef(d.is_rec, name, params,
                       self.ty(d.ret) if d.ret else None,
-                      self.expr(d.body, env), spec=spec)
+                      self.term(d.body, env), spec=spec)
 
     def item(self, kind, item):
         from defun.defunc import PredDef
@@ -263,7 +220,7 @@ class Canonicalizer:
                 new_arms = []
                 for pat, body in arms:
                     p2, env2 = self.pat(pat, env)
-                    new_arms.append((p2, self.formula(body, env2)))
+                    new_arms.append((p2, self.term(body, env2)))
                 out.append(PredDef(name, kp, self.ty(p.kont_ty), ap,
                                    self.ty(p.arg_ty), rp,
                                    self.ty(p.result_ty), new_arms))
@@ -274,14 +231,14 @@ class Canonicalizer:
             return self.letdef(item)
         if kind == "lemma":
             return LemmaDecl(self.g(item.name),
-                             self.formula(item.formula, {}))
+                             self.term(item.formula, {}))
         if kind == "logical":
             env = {}
             params = []
             for pname, pty in item.params:
                 new, env = self.bind(pname, env)
                 params.append((new, self.ty(pty)))
-            body = (self.expr(item.body, env)
+            body = (self.term(item.body, env)
                     if item.body is not None else None)
             return LogicalDecl(self.g(item.name), params, item.ret,
                                body, item.is_predicate)
@@ -380,10 +337,10 @@ class TestAcceptance:
                          if f.arrow_ty == TArrow(INT, INT))
             pred = next(p for p in t.post_defs if p.name == outer.post_name)
             (_, formula), = pred.arms
-            assert formula.body == FBinOp(
-                "=", FVar(pred.result_param),
-                FConstr(inner.sites[0].ctor_name,
-                        [FVar("y"), FVar("x")]))
+            assert formula.body == BinOp(
+                "=", Var(pred.result_param),
+                ConstructorApp(inner.sites[0].ctor_name,
+                               [Var("y"), Var("x")]))
 
             # the two-argument post meta-predicate expands to a forall chain
             class Fam:
@@ -398,12 +355,10 @@ class TestAcceptance:
                 lambda ty, loc=None: fams[ty])
             assert out == Forall(
                 [("var0", TNamed("kont1"))],
-                FBinOp(
+                BinOp(
                     "->",
-                    FLogicApp("post2",
-                              [FVar("g"), FVar("x"), FVar("var0")]),
-                    FLogicApp("post1",
-                              [FVar("var0"), FVar("y"), FVar("r")])))
+                    call("post2", [Var("g"), Var("x"), Var("var0")]),
+                    call("post1", [Var("var0"), Var("y"), Var("r")])))
 
     def test_criterion_4_semantic_preservation(self, capsys, corpus_targets):
         with criterion(capsys, 4):

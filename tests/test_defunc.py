@@ -7,8 +7,8 @@ from defun.defunc import (
 from defun.errors import TransformError
 from defun.frontend import parse_program
 from defun.syntax import (
-    Absurd, ConstructorApp, FBinOp, FConstr, FVar, LetDef, Match, PWild,
-    TArrow, TNamed, INT,
+    Absurd, BinOp, ConstructorApp, LetDef, Match, PWild, TArrow, TNamed, Var,
+    INT,
 )
 from defun.typecheck import Checker
 
@@ -82,9 +82,9 @@ class TestCaptureOrder:
         pred = next(p for p in t.post_defs if p.name == outer_fam.post_name)
         (pat, formula), = pred.arms
         inner_ctor = inner_fam.sites[0].ctor_name
-        assert formula.body == FBinOp(
-            "=", FVar(pred.result_param),
-            FConstr(inner_ctor, [FVar("y"), FVar("x")]))
+        assert formula.body == BinOp(
+            "=", Var(pred.result_param),
+            ConstructorApp(inner_ctor, [Var("y"), Var("x")]))
 
 
 class TestValueUses:

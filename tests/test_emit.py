@@ -3,7 +3,7 @@ import re
 import pytest
 
 from defun.emit import (
-    emit_surface, emit_whyml, parse_whyml, render_doc, s_formula,
+    emit_surface, emit_whyml, parse_whyml, render_doc, s_expr,
 )
 from defun.frontend import parse_formula, parse_program
 
@@ -68,6 +68,13 @@ class TestWhymlRoundTrip:
         text = emit_whyml(pipeline(f"let f (x : int) : int = {body}")[2])
         assert render_doc(parse_whyml(text)) == text
 
+    def test_relation_operand_of_a_relation_is_enclosed(self):
+        text = emit_whyml(pipeline(
+            "let f (x : int) : int = x\n"
+            "(*@ r = f x ensures (r = x) = (x = r) *)")[2])
+        assert "    ensures { (result = x) = (x = result) }\n" in text
+        assert render_doc(parse_whyml(text)) == text
+
     @pytest.mark.parametrize("seed", range(200))
     def test_generated_program_fixed_point(self, seed):
         text = emit_whyml(pipeline(gen_program(seed))[2])
@@ -95,7 +102,7 @@ class TestSharedFormulaGrammar:
     @pytest.mark.parametrize("text", FORMULAS)
     def test_surface_fixed_point(self, text):
         f = parse_formula(text)
-        assert parse_formula(s_formula(f)) == f
+        assert parse_formula(s_expr(f)) == f
 
     @pytest.mark.parametrize("text", FORMULAS)
     def test_whyml_lemma_reads_back(self, text):
@@ -165,6 +172,14 @@ IMPORT_CASES = {
     "div_spec": ("let f (x : int) : int = x\n"
                  "(*@ r = f x\n      ensures r / 1 = x *)",
                  ["int.ComputerDivision"]),
+    "logical_body": (
+        "(*@ function g (l : int list) : int = length l + max 1 2 *)",
+        ["int.MinMax", "list.List", "list.Length"]),
+    # types and functions have separate namespaces
+    "function_named_like_a_type": (
+        "let tree (x : int) : int = x\nlet g (y : int) : int = tree y", []),
+    "type_named_like_a_logical": (
+        "type height = Low | High\nlet f (h : height) : int = 0", []),
 }
 
 

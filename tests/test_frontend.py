@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from defun.errors import LexError, ParseError
 from defun.frontend import parse_expr, parse_formula, parse_program, tokenize
 from defun.syntax import (
-    App, BinOp, Cons, ConstructorApp, FConstr, FLogicApp, FVar, Forall,
-    IntLit, Lambda, LemmaDecl, LetDef, LetIn, Match, Not, PConstr, PTuple,
-    PostMeta, Seq, TArrow, TupleE, TypeDecl, Var,
-    INT, BOOL,
+    App, BinOp, ConstructorApp, Forall, IntLit, Lambda, LemmaDecl, LetDef,
+    LetIn, Match, Not, PConstr, PTuple, PostMeta, Seq, TArrow, TupleE,
+    TypeDecl, Var, INT, BOOL,
 )
 
 from conftest import CORPUS_FILES, corpus_text
@@ -109,7 +108,8 @@ class TestExpressions:
 
     def test_list_literal(self):
         e = parse_expr("[1;2]")
-        assert isinstance(e, Cons) and e.head == IntLit(1)
+        assert isinstance(e, ConstructorApp) and e.name == "Cons"
+        assert e.args[0] == IntLit(1)
 
     def test_negative_int(self):
         assert parse_expr("(-3)") == IntLit(-3)
@@ -201,8 +201,8 @@ class TestFormulas:
 
     def test_constructor_application_curried(self):
         f = parse_formula("r = Sub (Const v) x")
-        assert isinstance(f.right, FConstr)
-        assert [type(a) for a in f.right.args] == [FConstr, FVar]
+        assert isinstance(f.right, ConstructorApp)
+        assert [type(a) for a in f.right.args] == [ConstructorApp, Var]
 
     def test_and_or_not(self):
         f = parse_formula("not (a = b) && (b = c || c = d)")

@@ -32,7 +32,7 @@ def sources():
     yield from ladders()
 
 
-FROZEN = "22f42f00940a2fde50ebbe24091772a8fcd093980f10f9c81b2ad61448ef538c"
+FROZEN = "7acd79fafaeb85adb3cfe5519265f9b79f97e7a0cfe76f07253329012cdf8fd0"
 
 
 def digest() -> str:

@@ -123,10 +123,12 @@ class TestEquivalence:
             if isinstance(e, Var) and e.name == "x":
                 from defun.syntax import IntLit
                 return IntLit(0)
-            for attr in ("head", "tail", "first", "second", "body",
-                         "then", "els", "cond", "fn", "arg"):
+            for attr in ("first", "second", "body", "then", "els", "cond",
+                         "fn", "arg"):
                 if hasattr(e, attr):
                     setattr(e, attr, mutate(getattr(e, attr)))
+            if hasattr(e, "args"):
+                e.args = [mutate(a) for a in e.args]
             if hasattr(e, "arms"):
                 e.arms = [(pat, mutate(b)) for pat, b in e.arms]
             return e

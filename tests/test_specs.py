@@ -7,7 +7,7 @@ from defun.specs import (
     translate_spec,
 )
 from defun.syntax import (
-    FBinOp, FLogicApp, FVar, Forall, TArrow, TNamed, INT,
+    BinOp, Forall, TArrow, TNamed, Var, call, INT,
 )
 
 from conftest import corpus_text, pipeline
@@ -35,12 +35,12 @@ INT_INT_INT = TArrow(INT, INT_INT)
 class TestSubst:
     def test_basic(self):
         f = parse_formula("r = x + 1")
-        out = subst_formula(f, {"r": FVar("result")})
+        out = subst_formula(f, {"r": Var("result")})
         assert out == parse_formula("result = x + 1")
 
     def test_binder_shadows(self):
         f = parse_formula("forall x : int. x = y")
-        out = subst_formula(f, {"x": FVar("z"), "y": FVar("w")})
+        out = subst_formula(f, {"x": Var("z"), "y": Var("w")})
         assert out == parse_formula("forall x : int. x = w")
 
 
@@ -55,8 +55,8 @@ class TestExpandPostMeta:
     def test_single_argument(self):
         resolve = resolver_for({INT_INT: FakeFamily("post1", "kont1")})
         f = parse_formula("post (g : int -> int) x r")
-        assert expand_post_meta(f, resolve) == FLogicApp(
-            "post1", [FVar("g"), FVar("x"), FVar("r")])
+        assert expand_post_meta(f, resolve) == call(
+            "post1", [Var("g"), Var("x"), Var("r")])
 
     def test_two_arguments_forall_chain(self):
         resolve = resolver_for({
@@ -67,9 +67,9 @@ class TestExpandPostMeta:
         out = expand_post_meta(f, resolve)
         expected = Forall(
             [("var0", TNamed("kont1"))],
-            FBinOp("->",
-                   FLogicApp("post2", [FVar("g"), FVar("x"), FVar("var0")]),
-                   FLogicApp("post1", [FVar("var0"), FVar("y"), FVar("r")])))
+            BinOp("->",
+                  call("post2", [Var("g"), Var("x"), Var("var0")]),
+                  call("post1", [Var("var0"), Var("y"), Var("r")])))
         assert out == expected
 
     def test_fresh_variable_avoids_collision(self):
@@ -98,7 +98,7 @@ class TestTranslateSpec:
         d = self.build("let f (a : int) : int = a\n(*@ r = f x ensures r = x *)")
         requires, ensures = translate_spec(
             d.spec, d, resolver_for({}), lambda t, loc=None: t)
-        assert ensures == [FBinOp("=", FVar("result"), FVar("a"))]
+        assert ensures == [BinOp("=", Var("result"), Var("a"))]
 
     def test_multi_result_projection(self):
         d = self.build(
@@ -126,6 +126,6 @@ class TestEndToEndSpecTranslation:
         _, _, t = pipeline(corpus_text("length.mlg"))
         length_cps = next(d for d in t.items if d.name == "length_cps")
         fam = t.families[0]
-        assert length_cps.spec.ensures == [FLogicApp(
+        assert length_cps.spec.ensures == [call(
             fam.post_name,
-            [FVar("k"), FLogicApp("length", [FVar("l")]), FVar("result")])]
+            [Var("k"), call("length", [Var("l")]), Var("result")])]

@@ -3,15 +3,15 @@ import dataclasses
 from defun import syntax
 from defun.errors import Loc
 from defun.syntax import (
-    Cons, IntLit, Lambda, NilLit, TArrow, TNamed, Var, free_vars,
+    ConstructorApp, IntLit, Lambda, TArrow, TNamed, Var, free_vars,
     map_children, walk, walk_scoped, BOOL, INT,
 )
 
 
 def deep_cons(n):
-    e = NilLit()
+    e = ConstructorApp("Nil", [])
     for i in range(n):
-        e = Cons(Var(f"x{i % 7}", ty=INT), e)
+        e = ConstructorApp("Cons", [Var(f"x{i % 7}", ty=INT), e])
     return e
 
 
@@ -50,9 +50,10 @@ class TestMapChildren:
         e = deep_cons(10 ** 5)
         assert map_children(e, lambda c: c) is e
         one = IntLit(1)
-        out = map_children(e, lambda c: one if c is e.head else c)
+        head, tail = e.args
+        out = map_children(e, lambda c: one if c is head else c)
         assert out is not e
-        assert out.head is one and out.tail is e.tail
+        assert out.args[0] is one and out.args[1] is tail
 
     def test_metadata_kept(self):
         lam = Lambda(None, [("y", INT)], INT, IntLit(1),

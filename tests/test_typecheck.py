@@ -1,6 +1,6 @@
 import pytest
 
-from defun.errors import TypeError_
+from defun.errors import SourceError, TypeError_
 from defun.frontend import parse_expr, parse_formula, parse_program
 from defun.syntax import Lambda, PVar, TArrow, Var, INT, BOOL
 from defun.typecheck import Checker, check_program, type_of
@@ -131,3 +131,72 @@ class TestTypeDecls:
 
     def test_polymorphic_list_payload_rejected(self):
         fails("let f (l : bool list) : int = 0", "mismatch")
+
+
+# One program per diagnostic of spec typing, of list typing and of the
+# formula grammar, with its exact `kind: line:col: message`.
+_SPEC = "let f (x : int) : int = x\n(*@ r = f x\n      ensures "
+_KSPEC = "let f (k : int -> int) : int = 0\n(*@ r = f k\n      ensures "
+PINNED_DIAGNOSTICS = [
+    ("let g (x : int) : int = x\n" + _SPEC + "r = g x *)",
+     "unbound-variable: 4:19: unknown logical symbol 'g'"),
+    (_SPEC + "r = length *)",
+     "unbound-variable: 3:19: unbound variable 'length' in formula"),
+    (_SPEC + "r = nope *)",
+     "unbound-variable: 3:19: unbound variable 'nope' in formula"),
+    (_SPEC + "max x = r *)",
+     "mismatch: 3:15: logical symbol max expects 2 arguments"),
+    (_SPEC + "r = length x *)",
+     "mismatch: 3:19: argument of length has type int, expected int list"),
+    (_SPEC + "r = Foo *)",
+     "unbound-variable: 3:19: unknown constructor 'Foo'"),
+    (_SPEC + "Cons true Nil = Nil *)",
+     "mismatch: 3:15: argument of Cons has type bool, expected int"),
+    (_SPEC + "Cons x = Nil *)",
+     "constructor-arity: 3:15: constructor Cons expects 2 arguments, got 1"),
+    (_SPEC + "r < true *)",
+     "mismatch: 3:17: comparison operand has type bool, expected int"),
+    (_SPEC + "r = true *)",
+     "mismatch: 3:17: right operand of = has type bool, expected int"),
+    (_KSPEC + "k = k *)",
+     "mismatch: 3:17: equality on function values is not supported"),
+    (_SPEC + "r = x + true *)",
+     "mismatch: 3:21: operand of + has type bool, expected int"),
+    (_SPEC + "r /\\ x *)",
+     "mismatch: 3:17: logical operand has type int, expected prop"),
+    (_SPEC + "not x *)",
+     "mismatch: 3:15: negated formula has type int, expected prop"),
+    (_SPEC + "forall n. n *)",
+     "mismatch: 3:15: quantified body has type int, expected prop"),
+    (_KSPEC + "post (k : int -> bool) 1 r *)",
+     "mismatch: 3:15: post function has type int -> int, expected "
+     "int -> bool"),
+    (_KSPEC + "post (k : int -> int) 1 2 r *)",
+     "mismatch: 3:15: post applied to too many arguments"),
+    (_KSPEC + "post (k : int -> int) true r *)",
+     "mismatch: 3:15: post argument has type bool, expected int"),
+    (_KSPEC + "post (k : int -> int) 1 true *)",
+     "mismatch: 3:15: post result has type bool, expected int"),
+    ("let f (x : int) : int = x\n(*@ r = f x\n      requires x *)",
+     "mismatch: 3:16: formula has type int, expected a proposition"),
+    ("let f (u : unit) : int list = true :: [2]",
+     "mismatch: 1:36: argument of Cons has type bool, expected int"),
+    ("let f (u : unit) : int list = 1 :: 2",
+     "mismatch: 1:33: argument of Cons has type int, expected int list"),
+    ("let f (x : int) : int =\n  match x with\n  | [] -> 0\n  | _ -> 1",
+     "mismatch: 3:5: constructor pattern Nil has type int list, expected "
+     "int"),
+    ("let f (x : int) : int =\n  match x with\n  | h :: t -> 0\n  | _ -> 1",
+     "mismatch: 3:7: constructor pattern Cons has type int list, expected "
+     "int"),
+    (_SPEC + "r = ) *)",
+     "None: 3:19: expected a formula, found ')'"),
+]
+
+
+@pytest.mark.parametrize("src,diagnostic", PINNED_DIAGNOSTICS)
+def test_diagnostic_is_pinned(src, diagnostic):
+    with pytest.raises(SourceError) as exc:
+        check(src)
+    e = exc.value
+    assert f"{e.kind}: {e.loc}: {e.message}" == diagnostic

@@ -11,8 +11,8 @@ import pytest
 
 from defun.interp import VConstr, eval_ho
 from defun.syntax import (
-    FBinOp, FBool, FConstr, FInt, FLet, FLogicApp, FMatch, FTuple, Forall,
-    FVar, Not, TrueP, TBool, TInt, TNamed, walk,
+    App, BinOp, BoolLit, ConstructorApp, Forall, IntLit, LetIn, Match, Not,
+    TrueP, TupleE, TBool, TInt, TNamed, Var, spine, walk,
 )
 from defun.vcgen import (
     SmtEmitter, emit_smt, generate_vcs, pattern_cond, run_solver,
@@ -560,17 +560,17 @@ class Evaluator:
     def ev(self, f, env):
         if isinstance(f, TrueP):
             return True
-        if isinstance(f, FVar):
+        if isinstance(f, Var):
             return env[f.name]
-        if isinstance(f, FInt):
+        if isinstance(f, IntLit):
             return f.value
-        if isinstance(f, FBool):
+        if isinstance(f, BoolLit):
             return f.value
-        if isinstance(f, FConstr):
+        if isinstance(f, ConstructorApp):
             return VConstr(f.name, tuple(self.ev(a, env) for a in f.args))
-        if isinstance(f, FTuple):
+        if isinstance(f, TupleE):
             return tuple(self.ev(x, env) for x in f.items)
-        if isinstance(f, FBinOp) and f.op in ("+", "-", "*", "/"):
+        if isinstance(f, BinOp) and f.op in ("+", "-", "*", "/"):
             a, b = self.ev(f.left, env), self.ev(f.right, env)
             if f.op == "+":
                 return a + b
@@ -580,23 +580,24 @@ class Evaluator:
                 return a * b
             q = abs(a) // abs(b)
             return q if (a >= 0) == (b >= 0) else -q
-        if isinstance(f, FBinOp) and f.op == "=":
+        if isinstance(f, BinOp) and f.op == "=":
             return self.ev(f.left, env) == self.ev(f.right, env)
-        if isinstance(f, FBinOp) and f.op == "<":
+        if isinstance(f, BinOp) and f.op == "<":
             return self.ev(f.left, env) < self.ev(f.right, env)
-        if isinstance(f, FBinOp) and f.op == "<=":
+        if isinstance(f, BinOp) and f.op == "<=":
             return self.ev(f.left, env) <= self.ev(f.right, env)
-        if isinstance(f, FBinOp) and f.op == "/\\":
+        if isinstance(f, BinOp) and f.op == "/\\":
             return self.ev(f.left, env) and self.ev(f.right, env)
-        if isinstance(f, FBinOp) and f.op == "\\/":
+        if isinstance(f, BinOp) and f.op == "\\/":
             return self.ev(f.left, env) or self.ev(f.right, env)
         if isinstance(f, Not):
             return not self.ev(f.body, env)
-        if isinstance(f, FBinOp) and f.op == "->":
+        if isinstance(f, BinOp) and f.op == "->":
             return (not self.ev(f.left, env)) or self.ev(f.right, env)
-        if isinstance(f, FLet):
-            return self.ev(f.body, {**env, f.name: self.ev(f.value, env)})
-        if isinstance(f, FMatch):
+        if isinstance(f, LetIn):
+            d = f.defn
+            return self.ev(f.body, {**env, d.name: self.ev(d.body, env)})
+        if isinstance(f, Match):
             scrut = self.ev(f.scrutinee, env)
             for pat, body in f.arms:
                 ok, binds = self.match(pat, scrut)
@@ -611,20 +612,21 @@ class Evaluator:
                 return all(rec(rest, {**env, name: v})
                            for v in enum_values(ty, self.t, ints=self.ints))
             return rec(f.binders, env)
-        if isinstance(f, FLogicApp):
+        if isinstance(f, App):
             return self.app(f, env)
         raise AssertionError(f"unhandled formula node {type(f).__name__}")
 
     def match(self, pat, v):
-        cond, binds = pattern_cond(pat, FVar("%scrut%"))
+        cond, binds = pattern_cond(pat, Var("%scrut%"))
         env = {"%scrut%": v}
         if not self.ev(cond, env):
             return False, {}
         return True, {n: self.ev(t, env) for n, t in binds.items()}
 
     def app(self, f, env):
-        name = f.name
-        args = [self.ev(a, env) for a in f.args]
+        head, args = spine(f)
+        name = head.name
+        args = [self.ev(a, env) for a in args]
         if name.startswith("is-"):
             return args[0].name == name[3:]
         if name.startswith("sel-"):
@@ -639,7 +641,7 @@ class Evaluator:
             p = self.posts[name]
             env2 = {p.kont_param: args[0], p.arg_param: args[1],
                     p.result_param: args[2]}
-            return self.ev(FMatch(FVar(p.kont_param), p.arms), env2)
+            return self.ev(Match(Var(p.kont_param), p.arms), env2)
         raise AssertionError(f"unhandled logical symbol {name}")
 
 
@@ -649,7 +651,7 @@ class TestEnumerationSoundness:
         ev = Evaluator(t)
         for vc in generate_vcs(t):
             closed = Forall(vc.binders,
-                            FBinOp("->", conj(vc.hypotheses), vc.goal))
+                            BinOp("->", conj(vc.hypotheses), vc.goal))
             assert ev.ev(closed, {}), f"{vc.name} falsified by enumeration"
 
     def test_enumeration_catches_a_wrong_goal(self, corpus_targets):
@@ -657,7 +659,7 @@ class TestEnumerationSoundness:
         ev = Evaluator(t)
         vc = generate_vcs(t)[0]
         broken = Forall(vc.binders,
-                        FBinOp("->", conj(vc.hypotheses), Not(vc.goal)))
+                        BinOp("->", conj(vc.hypotheses), Not(vc.goal)))
         assert not ev.ev(broken, {})
 
 
@@ -694,7 +696,7 @@ def vcs_of(text: str):
 
 
 def valid(t, vc, ints=WIDE) -> bool:
-    closed = Forall(vc.binders, FBinOp("->", conj(vc.hypotheses), vc.goal))
+    closed = Forall(vc.binders, BinOp("->", conj(vc.hypotheses), vc.goal))
     return Evaluator(t, ints).ev(closed, {})
 
 
@@ -840,7 +842,7 @@ let f (join_0 : int) : int =
 def conj(fs):
     out = TrueP()
     for f in fs:
-        out = FBinOp("/\\", out, f)
+        out = BinOp("/\\", out, f)
     return out
 
 
