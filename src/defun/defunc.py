@@ -16,8 +16,7 @@ from .syntax import (
     Absurd, App, BinOp, ConstructorApp, Expr, ExprStmt, Forall, LemmaDecl,
     LetDef, LetIn, Lambda, Match, PConstr, PInt, PTuple, PVar, PWild,
     Pattern, Program, Spec, TArrow, TNamed, TTuple, TrueP, Ty, TypeDecl, Var,
-    all_identifiers, arrow, call, conj, contains_arrow, free_vars,
-    map_children, spine, walk, walk_scoped,
+    arrow, call, conj, contains_arrow, map_children, spine, walk,
 )
 from .typecheck import BUILTIN_CONSTRUCTORS, Checker
 
@@ -94,16 +93,17 @@ class _FnInfo:
 class Defunctionalizer:
     """Transforms one curry-normalized, type-checked program.
 
-    Names are resolved once: `scan` walks each top-level item with the
-    names bound around every node, and records in `direct` each `Var` that
-    denotes a top-level function rather than a local of the same name.
-    The rewrite reads that record and never decides by name."""
+    Names are resolved once, by the checker: `resolve` records in `direct`
+    each `Var` its `Resolution` found to denote a top-level function rather
+    than a local of the same name, and the rewrite reads that record and
+    never decides by name.  Fresh names avoid `Program.names`."""
 
     def __init__(self, program: Program, checker: Checker):
         self.program = program
+        self.checker = checker
         self.env = checker.env
         self.expand = checker.env.expand
-        self.taken = all_identifiers(program)
+        self.taken = set(program.names)
         self.toplevel_names = {item.name for item in program.items
                                if isinstance(item, LetDef)}
         self.sites: list[LambdaSite] = []
@@ -118,6 +118,8 @@ class Defunctionalizer:
         self.eta_chains: dict[str, Lambda] = {}
         # every type `rewrite_ty` returned, keyed by its input and by itself
         self.rewritten: dict[Ty, Ty] = {}
+        # id(input) -> (input, output); holding the input keeps its id
+        self.rewritten_id: dict[int, tuple[Ty, Ty]] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -143,8 +145,12 @@ class Defunctionalizer:
         """`ty` with every arrow replaced by its family's kont type; a
         `lenient` rewrite keeps an arrow that has no family.  A rewritten
         type rewrites to itself, so the kont types pass through again."""
+        hit = self.rewritten_id.get(id(ty))
+        if hit is not None:
+            return hit[1]
         out = self.rewritten.get(ty)
         if out is not None:
+            self.rewritten_id[id(ty)] = ty, out
             return out
         ex = self.expand(ty)
         if type(ex) is TArrow:
@@ -157,63 +163,54 @@ class Defunctionalizer:
             if lenient and contains_arrow(out):
                 return out
         self.rewritten[ty] = self.rewritten[out] = out
+        self.rewritten_id[id(ty)] = ty, out
         return out
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> TargetProgram:
-        scanned = []
+        resolved = []
         for item in self.program.items:
             if isinstance(item, LetDef) and item.params:
                 self.fns[item.name] = _FnInfo(
                     len(item.params), item.is_rec,
                     bool(item.spec and item.spec.requires))
             if isinstance(item, (LetDef, ExprStmt)):
-                scanned.append((item, self.scan(item)))
+                res = self.checker.resolved[id(item)]
+                self.resolve(res.uses)
+                resolved.append((item, res.lambdas))
         # sites are numbered once every value use is known: a use in a
         # later item puts an earlier item's eta chain first
-        for item, lambdas in scanned:
+        for item, lambdas in resolved:
             if isinstance(item, LetDef) and item.name in self.value_used:
                 self.add_eta_chain(item)
-            for lam, bound in lambdas:
-                self.add_site(lam, bound)
+            for lam, captured in lambdas:
+                self.add_site(lam, self.captured_of(lam, captured))
         self.build_families()
         return self.rewrite_program()
 
     # -- name resolution ---------------------------------------------------
 
-    def scan(self, root) -> list:
-        """One scoped walk over `root`: records each `Var` that names a
-        direct function, marks the functions used as first-class values,
-        and returns the lambdas under `root`, in pre-order, each with the
-        names bound around it.  A function is used as a value unless it
-        heads an application to all of its arguments; pre-order reaches
-        every App of a spine before its head."""
-        fns, direct = self.fns, self.direct
-        applied: dict[int, int] = {}  # id(node) -> arguments applied to it
-        lambdas = []
-        for e, bound in walk_scoped(root):
-            cls = type(e)
-            if cls is App:
-                applied[id(e.fn)] = applied.get(id(e), 0) + 1
-            elif cls is Lambda:
-                lambdas.append((e, bound))
-            elif cls is Var and e.name in fns and e.name not in bound:
-                info = direct[id(e)] = fns[e.name]
-                if applied.get(id(e), 0) < info.arity:
-                    if info.bypassed:
-                        raise TransformError(
-                            "exempt-as-value",
-                            f"function {e.name!r} carries a precondition and "
-                            "cannot be used as a first-class value", e.loc)
-                    if info.is_rec:
-                        raise TransformError(
-                            "no-family",
-                            f"recursive function {e.name!r} cannot be used "
-                            "as a first-class value; no functions of this "
-                            "type are defined", e.loc)
-                    self.value_used.add(e.name)
-        return lambdas
+    def resolve(self, uses: list):
+        """Record in `direct` each variable of an item that names a
+        direct function, and mark the functions used as first-class
+        values: a function is one unless it heads an application to all
+        of its arguments."""
+        for v, applied in uses:
+            info = self.direct[id(v)] = self.fns[v.name]
+            if applied < info.arity:
+                if info.bypassed:
+                    raise TransformError(
+                        "exempt-as-value",
+                        f"function {v.name!r} carries a precondition and "
+                        "cannot be used as a first-class value", v.loc)
+                if info.is_rec:
+                    raise TransformError(
+                        "no-family",
+                        f"recursive function {v.name!r} cannot be used "
+                        "as a first-class value; no functions of this "
+                        "type are defined", v.loc)
+                self.value_used.add(v.name)
 
     # -- lambda sites ------------------------------------------------------
 
@@ -223,22 +220,25 @@ class Defunctionalizer:
         # a parameter named like the function would shadow it in the call
         params = [(self.gen_name(n) if n == d.name else n, t)
                   for n, t in d.params]
-        call: Expr = Var(d.name, ty=d.arrow_ty(), loc=d.loc)
+        head = Var(d.name, ty=d.arrow_ty(), loc=d.loc)
+        self.direct[id(head)] = self.fns[d.name]
+        lam: Expr = head
         for n, t in params:
-            call = App(call, Var(n, ty=t, loc=d.loc), ty=call.ty.result,
-                       loc=d.loc)
-        lam: Expr = call
+            lam = App(lam, Var(n, ty=t, loc=d.loc), ty=lam.ty.result,
+                      loc=d.loc)
         ret = d.ret
         for i in range(len(params) - 1, -1, -1):
             lam = Lambda(None, [params[i]], ret, lam,
                          chain=list(params[:i]), loc=d.loc)
             ret = TArrow(params[i][1], ret)
             lam.ty = ret
-        self.eta_chains[d.name] = lam
-        for sub, bound in self.scan(lam):
-            self.add_site(sub, bound)
+        sub = self.eta_chains[d.name] = lam
+        # the lambda of each parameter captures the parameters before it
+        while type(sub) is Lambda:
+            self.add_site(sub, list(sub.chain))
+            sub = sub.body
 
-    def add_site(self, lam: Lambda, bound):
+    def add_site(self, lam: Lambda, captured: list):
         if lam.spec and lam.spec.requires:
             # a lambda is always a first-class value, so a requires clause
             # on one can never be bypassed
@@ -252,25 +252,23 @@ class Defunctionalizer:
             raise AssertionError("lambda without an arrow type")
         site = LambdaSite(
             id=len(self.sites), arrow_ty=arrow_ty, param=lam.params[0],
-            body=lam.body, captured=self.captured_of(lam, bound),
+            body=lam.body, captured=captured,
             spec=lam.spec, origin=lam.loc)
         site.ctor_name = self.gen_name(f"K{site.id}")
         self.sites.append(site)
         self.site_of[id(lam)] = site
 
-    def captured_of(self, lam: Lambda, bound) -> list:
-        """Free variables of the lambda that are locals bound around it
-        (`bound`); top-level names are not captured.  Variables free in
+    @staticmethod
+    def captured_of(lam: Lambda, free: dict) -> list:
+        """The captures of a lambda whose free locals the checker found to
+        be `free`; top-level names are not captured.  Variables free in
         the original surface lambda come first, in occurrence order;
         parameters of the same curry chain follow, in parameter order
         (this reproduces the constructor argument order of curried
         translations)."""
-        fv = [(n, t) for n, t in free_vars(lam) if n in bound]
         chain_names = [n for n, _ in lam.chain]
-        outer = [(n, t) for n, t in fv if n not in chain_names]
-        from_chain = [(n, t) for n, t in lam.chain
-                      if any(m == n for m, _ in fv)]
-        return outer + from_chain
+        return ([(n, t) for n, t in free.items() if n not in chain_names]
+                + [(n, t) for n, t in lam.chain if n in free])
 
     # -- families ----------------------------------------------------------
 
@@ -433,6 +431,8 @@ class Defunctionalizer:
     # -- expression rewriting ---------------------------------------------
 
     def rewrite(self, e: Expr) -> Expr:
+        """`e` in first-order form; a node whose type and children stay
+        the same is shared with the target."""
         cls = type(e)
         if cls is App:
             head, args = spine(e)
@@ -443,7 +443,8 @@ class Defunctionalizer:
         if cls is Var:
             if id(e) in self.direct:
                 return self.lambda_value(self.eta_chains[e.name])
-            return Var(e.name, ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
+            ty = self.rewrite_ty(e.ty, e.loc)
+            return e if ty == e.ty else Var(e.name, ty=ty, loc=e.loc)
         if cls is Lambda:
             return self.lambda_value(e)
         if cls is LetIn:
@@ -453,11 +454,15 @@ class Defunctionalizer:
                     "unsupported",
                     "local function definitions are not supported by the "
                     "converter; bind a lambda instead", d.loc)
-            nd = LetDef(d.is_rec, d.name, [],
-                        self.rewrite_ty(d.ret, d.loc), self.rewrite(d.body),
-                        loc=d.loc)
-            return LetIn(nd, self.rewrite(e.body),
-                         ty=self.rewrite_ty(e.ty, e.loc), loc=e.loc)
+            ret = self.rewrite_ty(d.ret, d.loc)
+            value = self.rewrite(d.body)
+            body = self.rewrite(e.body)
+            ty = self.rewrite_ty(e.ty, e.loc)
+            if (value is d.body and body is e.body and d.spec is None
+                    and ret == d.ret and ty == e.ty):
+                return e
+            nd = LetDef(d.is_rec, d.name, [], ret, value, loc=d.loc)
+            return LetIn(nd, body, ty=ty, loc=e.loc)
         if cls is Match:
             scrut = self.rewrite(e.scrutinee)
             arms = [(self.rewrite_pattern(p), self.rewrite(b))
@@ -485,9 +490,12 @@ class Defunctionalizer:
             rest = self.expand(rest.result)
         tys = [self.rewrite_ty(p, head.loc, info.bypassed) for p in params]
         tys.append(self.rewrite_ty(rest, loc, info.bypassed))
-        out = Var(head.name, ty=arrow(*tys), loc=head.loc)
-        for i, a in enumerate(args[:info.arity], 1):
-            out = App(out, self.rewrite(a), ty=arrow(*tys[i:]), loc=loc)
+        fn_ty = arrow(*tys)
+        out = head if fn_ty == head.ty else Var(head.name, ty=fn_ty,
+                                                 loc=head.loc)
+        for a in args[:info.arity]:
+            fn_ty = fn_ty.result
+            out = App(out, self.rewrite(a), ty=fn_ty, loc=loc)
         return self.apply_chain(out, rest, args[info.arity:], loc)
 
     def apply_chain(self, fn_expr: Expr, fn_ty: Ty, args: list, loc) -> Expr:
@@ -518,9 +526,10 @@ class Defunctionalizer:
 
     def rewrite_pattern(self, p: Pattern) -> Pattern:
         if type(p) is PVar:
-            return PVar(p.name,
-                        self.rewrite_ty(p.ty) if p.ty is not None else None,
-                        loc=p.loc)
+            if p.ty is None:
+                return p
+            ty = self.rewrite_ty(p.ty)
+            return p if ty == p.ty else PVar(p.name, ty, loc=p.loc)
         return map_children(p, self.rewrite_pattern)
 
     # -- exhaustiveness ----------------------------------------------------

@@ -783,6 +783,10 @@ def _parse_all(tokens: list[Token], parse):
 def parse_program(source: str) -> Program:
     tokens = tokenize(source)
     program = _parse_all(tokens, Parser.parse_program)
+    # the identifiers of the source and the constructors of list sugar
+    program.names = {t.text for t in tokens
+                     if t.kind == "ident" or t.kind == "uident"}
+    program.names.update(("Nil", "Cons"))
     try:
         return normalize_program(program, MAX_DEPTH)
     except TooDeep:

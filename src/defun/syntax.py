@@ -147,10 +147,6 @@ class PTuple(Pattern):
     loc: Optional[Loc] = _meta()
 
 
-def pattern_vars(p: Pattern) -> list[tuple[str, Optional[Ty]]]:
-    return [(q.name, q.ty) for q in walk(p) if type(q) is PVar]
-
-
 # ---------------------------------------------------------------------------
 # Specs
 
@@ -430,6 +426,9 @@ class LogicalDecl:
 class Program:
     prelude: list = field(default_factory=list)  # LogicalDecl
     items: list = field(default_factory=list)  # TopLevel
+    # every name of the program, which generated names avoid: filled by
+    # `frontend.parse_program`, and `Checker.check_program` adds its types
+    names: set = field(default_factory=set, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -523,69 +522,8 @@ def _map_value(v, f):
     return f(v)
 
 
-def binds(node) -> list[tuple[object, tuple[str, ...]]]:
-    """Each child of `node` with the variable names that `node` binds in it.
-    A spec is left out: its names are scoped by its header, not by the
-    binders of the code around it."""
-    cls = type(node)
-    if cls is LetIn:
-        d = node.defn
-        return [(d, (d.name,) if d.is_rec else ()), (node.body, (d.name,))]
-    if cls is Match:
-        out = [(node.scrutinee, ())]
-        for pat, body in node.arms:
-            out += [(pat, ()), (body, tuple(n for n, _ in pattern_vars(pat)))]
-        return out
-    names = ()
-    if cls is LetDef or cls is Lambda or cls is LogicalDecl:
-        names = tuple(n for n, _ in node.params)
-    elif cls is Forall:
-        names = tuple(n for n, _ in node.binders)
-    return [(c, names) for c in children(node) if type(c) is not Spec]
-
-
-_BINDERS = frozenset({LetIn, Match, LetDef, Lambda, LogicalDecl, Forall})
-
-
-def walk_scoped(root):
-    """`walk`, yielding each node with the names bound around it below
-    `root`; the specs of definitions and lambdas are not walked."""
-    stack = [(root, frozenset())]
-    pop, push = stack.pop, stack.append
-    while stack:
-        v, bound = pop()
-        cls = type(v)
-        if cls is list or cls is tuple:
-            stack.extend([(x, bound) for x in reversed(v)])
-        elif cls in _BINDERS:
-            yield v, bound
-            for c, names in reversed(binds(v)):
-                push((c, bound.union(names) if names else bound))
-        elif cls not in _LEAVES:
-            yield v, bound
-            for name in reversed(_STRUCTURE[cls]):
-                x = getattr(v, name)
-                if type(x) not in _LEAVES:
-                    push((x, bound))
-
-
 # ---------------------------------------------------------------------------
-# Free variables
-
-BINOP_RESULT = {
-    "+": INT,
-    "-": INT,
-    "*": INT,
-    "/": INT,
-    "&&": BOOL,
-    "||": BOOL,
-    "=": BOOL,
-    "<": BOOL,
-    "<=": BOOL,
-    ">": BOOL,
-    ">=": BOOL,
-}
-
+# Operators
 
 # Expression operator -> the formula operator it denotes, and whether the
 # operands swap: formulas have no `>` and `>=`.
@@ -603,16 +541,6 @@ def formula_of_binop(op: str, left: Expr, right: Expr, loc=None):
     if swap:
         left, right = right, left
     return BinOp(fop, left, right, loc=loc)
-
-
-def free_vars(e: Expr) -> list[tuple[str, Ty]]:
-    """Free variables of a typed expression, each with its resolved type,
-    ordered by first free occurrence."""
-    out: dict[str, Ty] = {}
-    for node, bound in walk_scoped(e):
-        if type(node) is Var and node.name not in bound:
-            out.setdefault(node.name, node.ty)
-    return list(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -678,20 +606,3 @@ def normalize_program(p: Program, room: int = sys.maxsize) -> Program:
         normalize_curry(d, room - 1, curry=False)
     p.items = [normalize_curry(it, room - 1) for it in p.items]
     return p
-
-
-def all_identifiers(p: Program) -> set[str]:
-    """Every identifier occurring anywhere in the program; used to keep
-    generated names collision-free."""
-    names: set[str] = set()
-    stack = [p]
-    while stack:
-        v = stack.pop()
-        cls = type(v)
-        if cls is str:
-            names.add(v)
-        elif cls is list or cls is tuple:
-            stack.extend(v)
-        elif cls not in _LEAVES:
-            stack.extend([getattr(v, n) for n in _STRUCTURE[cls]])
-    return names.difference(BINOP_RESULT)

@@ -3,18 +3,21 @@
 Variables live in a stack-per-name environment: entering a binder pushes,
 leaving pops, so shadowing behaves like the source language.  The checker
 resolves (and stores) a type on every expression node, which the
-defunctionalization pass relies on for capture sets and family grouping.
+defunctionalization pass relies on for family grouping, and resolves each
+name once for the later passes (`Resolution`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import Loc, TypeError_
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, CONNECTIVES, ConstructorApp, ExprStmt, Forall,
+    Absurd, App, BinOp, BoolLit, CONNECTIVES, ConstructorApp, Forall,
     If, IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, Not,
     PConstr, PInt, PTuple, PVar, PWild, PostMeta, Program, RELATIONS, Seq,
     Spec, TArrow, TNamed, TTuple, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var,
-    arrow, spine, BOOL, INT, UNIT, int_list, int_tree,
+    arrow, map_children, spine, BOOL, INT, UNIT, int_list, int_tree,
 )
 
 # Builtin data types: lists and trees of integers (the monomorphic subset).
@@ -32,9 +35,23 @@ BUILTIN_LOGICALS = {
 }
 
 
+@dataclass
+class Resolution:
+    """The names of one top-level item's code, in pre-order: `uses` holds
+    (Var, number of arguments applied to it) for each variable naming a
+    top-level function, `lambdas` (Lambda, {name: Ty}) for each lambda,
+    with the item's locals free in it by first occurrence."""
+
+    uses: list = field(default_factory=list)
+    lambdas: list = field(default_factory=list)
+
+
 class TypeEnv:
     def __init__(self):
-        self.var_type: dict[str, list[Ty]] = {}
+        # name -> stack of (type, binder); the binder of a local of
+        # program code is the number of lambdas around it in its item, of
+        # a top-level function its definition, and None for anything else
+        self.var_type: dict[str, list[tuple[Ty, object]]] = {}
         self.type_decls: dict[str, TypeDecl] = {}
         self.constructors: dict[str, tuple[Ty, list[Ty]]] = dict(BUILTIN_CONSTRUCTORS)
         self.logicals: dict[str, tuple[list[Ty], Ty]] = dict(BUILTIN_LOGICALS)
@@ -43,8 +60,8 @@ class TypeEnv:
         # which may apply only logical symbols)
         self.mode = "code"
 
-    def push(self, name: str, ty: Ty):
-        self.var_type.setdefault(name, []).append(ty)
+    def push(self, name: str, ty: Ty, binder=None):
+        self.var_type.setdefault(name, []).append((ty, binder))
 
     def pop(self, name: str):
         stack = self.var_type[name]
@@ -52,21 +69,15 @@ class TypeEnv:
         if not stack:
             del self.var_type[name]
 
-    def lookup(self, name: str, loc=None) -> Ty:
-        stack = self.var_type.get(name)
-        if not stack:
-            raise TypeError_("unbound-variable", f"unbound variable {name!r}", loc)
-        return stack[-1]
-
     # -- types -------------------------------------------------------------
 
     def expand(self, ty: Ty, loc=None) -> Ty:
-        """Resolve aliases and validate named types."""
-        if isinstance(ty, TArrow):
-            return TArrow(self.expand(ty.param, loc), self.expand(ty.result, loc))
-        if isinstance(ty, TTuple):
-            return TTuple(tuple(self.expand(t, loc) for t in ty.items))
-        if isinstance(ty, TNamed):
+        """Resolve aliases and validate named types; a type without an
+        alias inside is returned itself."""
+        cls = type(ty)
+        if cls is TArrow or cls is TTuple:
+            return map_children(ty, lambda t: self.expand(t, loc))
+        if cls is TNamed:
             if ty.name in ("list", "tree"):
                 if ty.args != (INT,):
                     raise TypeError_(
@@ -94,10 +105,20 @@ def mismatch(expected, found, loc, what="expression"):
 class Checker:
     def __init__(self):
         self.env = TypeEnv()
+        # id(item) -> Resolution, for each LetDef and ExprStmt item
+        self.resolved: dict[int, Resolution] = {}
+        self._item = Resolution()  # of the item being checked
+        # the free locals of each lambda around the node being checked
+        self._lambdas: list[dict] = []
+        # id(node) -> arguments applied to it; an App precedes its function
+        self._applied: dict[int, int] = {}
 
     # -- programs ----------------------------------------------------------
 
     def check_program(self, p: Program) -> Program:
+        # the builtin types this checker writes on unannotated binders are
+        # names of the program that generated names avoid
+        p.names.update(("list", "tree"))
         # type declarations come into scope first so prelude logicals can
         # mention them regardless of their position in the file
         for item in p.items:
@@ -111,12 +132,15 @@ class Checker:
         for item in p.items:
             if isinstance(item, TypeDecl):
                 pass
-            elif isinstance(item, LetDef):
-                self.check_letdef(item, toplevel=True)
             elif isinstance(item, LemmaDecl):
                 self.check_formula(item.formula, {}, item.loc)
-            elif isinstance(item, ExprStmt):
-                self.type_of(item.expr)
+            else:
+                self._item = self.resolved[id(item)] = Resolution()
+                self._applied.clear()
+                if isinstance(item, LetDef):
+                    self.check_letdef(item, toplevel=True)
+                else:
+                    self.type_of(item.expr)
         return p
 
     def declare_type(self, decl: TypeDecl):
@@ -173,18 +197,21 @@ class Checker:
         d.params = params
         if d.ret is not None:
             d.ret = self.env.expand(d.ret, loc)
+        # a top-level function is resolved as such; a local by the lambdas
+        # around it
+        binder = (d if d.params else None) if toplevel else len(self._lambdas)
         if d.is_rec:
             if d.ret is None:
                 raise TypeError_("annotation-missing",
                                  f"recursive definition {d.name!r} needs a "
                                  "return type annotation", loc)
-            self.env.push(d.name, d.arrow_ty())
+            self.env.push(d.name, d.arrow_ty(), binder)
         elif d.params and d.ret is None:
             raise TypeError_("annotation-missing",
                              f"definition {d.name!r} with parameters needs a "
                              "return type annotation", loc)
         for n, t in params:
-            self.env.push(n, t)
+            self.env.push(n, t, len(self._lambdas))
         body_ty = self.type_of(d.body)
         if d.ret is None:
             d.ret = body_ty
@@ -196,7 +223,7 @@ class Checker:
             self.env.pop(d.name)
         if d.spec is not None:
             self.check_spec(d.spec, d)
-        self.env.push(d.name, d.arrow_ty() if d.params else d.ret)
+        self.env.push(d.name, d.arrow_ty() if d.params else d.ret, binder)
 
     def check_param_names(self, params, loc):
         """A parameter becomes an SMT constant, or a `let` name in a post
@@ -220,21 +247,29 @@ class Checker:
         return ty
 
     def _type_of(self, e) -> Ty:
-        env = self.env
-        if isinstance(e, UnitLit):
+        env, cls = self.env, type(e)
+        if cls is UnitLit:
             return UNIT
-        if isinstance(e, IntLit):
+        if cls is IntLit:
             return INT
-        if isinstance(e, BoolLit):
+        if cls is BoolLit:
             return BOOL
-        if isinstance(e, Absurd):
+        if cls is Absurd:
             return e.ty if e.ty is not None else UNIT
-        if isinstance(e, Var):
-            if e.name in env.var_type:
-                return env.lookup(e.name, e.loc)
-            if env.mode == "logic" and e.name in env.logicals:
-                params, ret = env.logicals[e.name]
-                return arrow(*params, ret)
+        if cls is Var:
+            stack = env.var_type.get(e.name)
+            if stack:
+                ty, binder = stack[-1]
+                if binder is not None and env.mode == "code":
+                    self.resolve(e, ty, binder)
+                return ty
+            sig = env.logicals.get(e.name)
+            if sig is not None and env.mode != "code":
+                params, ret = sig
+                if env.mode == "logic":
+                    return arrow(*params, ret)
+                if not params:  # a constant in a formula
+                    return ret
             if env.mode == "code" and e.name in env.logicals:
                 raise TypeError_(
                     "unbound-variable",
@@ -243,7 +278,7 @@ class Checker:
             where = " in formula" if env.mode == "spec" else ""
             raise TypeError_("unbound-variable",
                              f"unbound variable {e.name!r}{where}", e.loc)
-        if isinstance(e, ConstructorApp):
+        if cls is ConstructorApp:
             info = env.constructors.get(e.name)
             if info is None:
                 raise TypeError_("unbound-variable",
@@ -259,9 +294,9 @@ class Checker:
                 if got != want:
                     raise mismatch(want, got, e.loc, f"argument of {e.name}")
             return result_ty
-        if isinstance(e, TupleE):
+        if cls is TupleE:
             return TTuple(tuple(self.type_of(x) for x in e.items))
-        if isinstance(e, BinOp):
+        if cls is BinOp:
             lt = self.type_of(e.left)
             rt = self.type_of(e.right)
             if e.op in ("+", "-", "*", "/"):
@@ -288,15 +323,15 @@ class Checker:
                         "equality on function values is not supported", e.loc)
                 return BOOL
             raise AssertionError(f"unknown operator {e.op}")
-        if isinstance(e, Seq):
+        if cls is Seq:
             self.type_of(e.first)
             return self.type_of(e.second)
-        if isinstance(e, LetIn):
+        if cls is LetIn:
             self.check_letdef(e.defn, toplevel=False)
             ty = self.type_of(e.body)
             self.env.pop(e.defn.name)
             return ty
-        if isinstance(e, If):
+        if cls is If:
             ct = self.type_of(e.cond)
             if ct != BOOL:
                 raise mismatch(BOOL, ct, e.loc, "if condition")
@@ -305,14 +340,14 @@ class Checker:
             if tt != et:
                 raise mismatch(tt, et, e.loc, "else branch")
             return tt
-        if isinstance(e, Match):
+        if cls is Match:
             scrut_ty = self.type_of(e.scrutinee)
             arm_ty = None
             for pat, body in e.arms:
                 binds = []
                 self.check_pattern(pat, scrut_ty, binds)
                 for n, t in binds:
-                    env.push(n, t)
+                    env.push(n, t, len(self._lambdas))
                 bt = self.type_of(body)
                 for n, _ in reversed(binds):
                     env.pop(n)
@@ -323,7 +358,7 @@ class Checker:
                 elif bt != arm_ty:
                     raise mismatch(arm_ty, bt, e.loc, "match arm")
             return arm_ty
-        if isinstance(e, Lambda):
+        if cls is Lambda:
             for n, t in e.params:
                 if t is None:
                     raise TypeError_(
@@ -333,8 +368,12 @@ class Checker:
             params = [(n, env.expand(t, e.loc)) for n, t in e.params]
             e.params = params
             e.ret = env.expand(e.ret, e.loc)
+            captured: dict[str, Ty] = {}
+            if env.mode == "code":
+                self._item.lambdas.append((e, captured))
+            self._lambdas.append(captured)
             for n, t in params:
-                env.push(n, t)
+                env.push(n, t, len(self._lambdas))
             bt = self.type_of(e.body)
             if bt != e.ret:
                 raise mismatch(e.ret, bt, e.loc, "lambda body")
@@ -342,10 +381,13 @@ class Checker:
                 self.check_lambda_spec(e)
             for n, _ in reversed(params):
                 env.pop(n)
+            self._lambdas.pop()
             return arrow(*[t for _, t in params], e.ret)
-        if isinstance(e, App):
+        if cls is App:
             if env.mode == "spec":
                 return self.logical_call(e)
+            applied = self._applied
+            applied[id(e.fn)] = applied.get(id(e), 0) + 1
             ft = self.type_of(e.fn)
             if not isinstance(ft, TArrow):
                 raise TypeError_("not-a-function",
@@ -355,6 +397,16 @@ class Checker:
                 raise mismatch(ft.param, at, e.loc, "function argument")
             return ft.result
         raise AssertionError(f"unhandled expression {e!r}")
+
+    def resolve(self, v: Var, ty: Ty, binder):
+        """Record what the variable `v` of the code of an item names: a
+        local is free in the lambdas entered since its binder, a top-level
+        function is a use of it."""
+        if type(binder) is int:
+            for captured in self._lambdas[binder:]:
+                captured.setdefault(v.name, ty)
+        else:
+            self._item.uses.append((v, self._applied.get(id(v), 0)))
 
     def check_pattern(self, pat, ty: Ty, binds: list):
         env = self.env

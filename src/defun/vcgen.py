@@ -756,9 +756,9 @@ def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str) -> list[dict]:
             "kind": vc.kind,
             "loc": str(vc.origin[1]) if vc.origin[1] is not None else None,
         })
+    # one string, one write: `json.dump` with `indent` writes each token
     with open(os.path.join(outdir, "index.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 

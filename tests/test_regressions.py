@@ -7,7 +7,7 @@ import pytest
 from defun import frontend
 from defun.cli import main
 from defun.emit import emit_whyml, parse_whyml, render_doc
-from defun.errors import ParseError
+from defun.errors import ParseError, SourceError
 from defun.frontend import parse_formula, parse_program
 from defun.interp import render_value, vlist
 from defun.vcgen import run_solver
@@ -138,6 +138,20 @@ class TestLocalsShadowFunctions:
         capsys.readouterr()
         assert main(["equiv", path, "--entry", "u", "--trials", "20"]) == 0
         assert capsys.readouterr().out.startswith("PASS u: 20 trials")
+
+
+class TestTopLevelValueShadowsFunction:
+    def test_the_later_value_is_not_called(self, mlg, tmp_path, capsys):
+        # `f` in `g` names the value 3, not the function defined before it
+        path = mlg("let f (x : int) : int = x + 1\n"
+                   "let f = 3\n"
+                   "let g (y : int) : int = f + y\n")
+        # `emit` runs to its end; its module declares `f` twice, which
+        # Why3 may reject, so what it returns is not pinned here
+        main(["emit", path, "-o", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert main(["equiv", path, "--entry", "g", "--trials", "20"]) == 0
+        assert capsys.readouterr().out.startswith("PASS g: 20 trials")
 
 
 class TestNestingLimit:
@@ -325,3 +339,42 @@ let f (l : il) : int = twice (fun (y : int) : int -> y) 0
         for name, text in files.items():
             assert scope_errors(text) == [], name
         assert "(declare-fun total (IntList) Int)" in files["vc_f_0"]
+
+
+class TestLogicalConstants:
+    """A logical symbol without parameters is a constant that a spec may
+    name, declared or defined."""
+
+    @pytest.mark.parametrize("program, ensures, declared", [
+        ("(*@ function c : int *)\n"
+         "let f (x : int) : int = x\n"
+         "(*@ r = f x\n"
+         "      ensures r = c *)\n",
+         "ensures { result = c }",
+         "(declare-fun c () Int)"),
+        ("(*@ function c : int = 3 *)\n"
+         "(*@ function g (x : int) : int = x + 1 *)\n"
+         "let h (x : int) : int = x + 1 - 3\n"
+         "(*@ r = h x\n"
+         "      ensures r = g x - c *)\n",
+         "ensures { result = ((g x) - c) }",
+         "(define-funs-rec ((c () Int) (g ((x Int)) Int)) (3 (+ x 1)))"),
+    ], ids=["declared", "defined"])
+    def test_whyml_round_trips_and_smt_files_declare_it(self, program,
+                                                          ensures, declared):
+        text = emit_whyml(pipeline(program)[2])
+        assert render_doc(parse_whyml(text)) == text
+        assert ensures in text
+        files = smt_files(program)
+        assert files
+        for name, smt in files.items():
+            assert scope_errors(smt) == [], name
+            assert declared in smt, name
+
+    def test_a_symbol_with_parameters_still_needs_its_arguments(self):
+        with pytest.raises(SourceError,
+                           match="unbound variable 'g' in formula"):
+            pipeline("(*@ function g (x : int) : int *)\n"
+                     "let f (x : int) : int = x\n"
+                     "(*@ r = f x\n"
+                     "      ensures r = g *)\n")

@@ -1,9 +1,10 @@
 from defun.frontend import parse_expr, parse_program
 from defun.syntax import (
     App, Lambda, LetDef, TArrow, TInt, TNamed, TTuple, Var, arrow,
-    contains_arrow, free_vars, int_list, normalize_curry,
-    pattern_vars, INT, BOOL,
+    contains_arrow, int_list, normalize_curry, INT, BOOL,
 )
+
+from scoping import free_vars, pattern_vars
 
 
 def lam_of(src: str) -> Lambda:

@@ -3,9 +3,11 @@ import dataclasses
 from defun import syntax
 from defun.errors import Loc
 from defun.syntax import (
-    ConstructorApp, IntLit, Lambda, TArrow, TNamed, Var, free_vars,
-    map_children, walk, walk_scoped, BOOL, INT,
+    ConstructorApp, IntLit, Lambda, TArrow, TNamed, Var, map_children, walk,
+    BOOL, INT,
 )
+
+from scoping import free_vars, walk_scoped
 
 
 def deep_cons(n):

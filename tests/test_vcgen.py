@@ -305,6 +305,44 @@ class TestSmtFiles:
                 assert (a / name).read_text() == (b / name).read_text()
 
 
+class TestOverwrite:
+    """Emitting into a directory that already holds the files leaves
+    exactly the new bytes in each."""
+
+    def vcs(self):
+        """The VCs of a program with a non-ASCII definition name, the
+        first of them without a location."""
+        _, _, t = pipeline("let café (x : int) : int = x + 1\n"
+                           "(*@ r = café x\n      ensures r = x + 1 *)\n"
+                           "let h (k : int -> int) : int = k 1\n"
+                           "let g (y : int) : int = h (fun (x : int) : int "
+                           "-> café x)\n")
+        vcs = generate_vcs(t)
+        vcs[0].origin = (vcs[0].origin[0], None, vcs[0].kind)
+        return t, vcs
+
+    def test_longer_files_are_cut_to_the_new_bytes(self, tmp_path):
+        t, vcs = self.vcs()
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        emit_smt(vcs, t, fresh)
+        old.mkdir()
+        names = sorted(p.name for p in fresh.iterdir())
+        for name in names:
+            (old / name).write_bytes(b"junk\n" * 2048)
+        emit_smt(vcs, t, old)
+        assert sorted(p.name for p in old.iterdir()) == names
+        for name in names:
+            assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_index_is_the_manifest_as_json(self, tmp_path):
+        t, vcs = self.vcs()
+        manifest = emit_smt(vcs, t, tmp_path)
+        assert manifest[0]["loc"] is None
+        assert "café" in {e["definition"] for e in manifest}
+        assert ((tmp_path / "index.json").read_text()
+                == json.dumps(manifest, indent=2) + "\n")
+
+
 def declared(text: str) -> list[str]:
     """The sorts and functions a file declares, in order; a block's
     members one by one."""
