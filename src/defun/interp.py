@@ -17,11 +17,12 @@ import operator  # already loaded by `random`
 import random
 from .defunc import TargetProgram
 from .errors import Loc
+from .specs import subst_formula
 from .syntax import (
-    Absurd, App, BinOp, BoolLit, ConstructorApp, Expr, ExprStmt, If, IntLit,
-    Lambda, LetDef, LetIn, LogicalDecl, Match, Not, PConstr, PInt, PTuple,
-    PVar, PWild, Program, Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP,
-    TupleE, Ty, TypeDecl, UnitLit, Var, spine,
+    Absurd, App, BinOp, BoolLit, ConstructorApp, ExprStmt, Forall, If, IntLit,
+    Lambda, LetDef, LetIn, LogicalDecl, Match, Not, PConstr, PInt, PostMeta,
+    PTuple, PVar, PWild, Program, Seq, TBool, TInt, TNamed, TTuple, TUnit,
+    TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, BOOL,
 )
 
 # ---------------------------------------------------------------------------
@@ -251,8 +252,10 @@ class _Code:
 
 class Evaluator:
     """Call-by-value evaluator for a list of top-level items, loaded in
-    order: `LetDef`s, `ExprStmt`s, and defined `LogicalDecl`s, which are
-    functions whatever their arity.
+    order: `LetDef`s, `ExprStmt`s, and defined `LogicalDecl`s.  An item
+    with parameters is a function, one without is a value.  Formulas run
+    like code: the connectives are `if`s, and a quantifier or `post` raises
+    `RunError` when it is reached.
 
     The same machinery runs the surface program and the first-order
     target.  Fuel is one unit per application of a function value to one
@@ -280,7 +283,7 @@ class Evaluator:
                 name, params, body = item.name, item.params, item.body
             else:
                 continue
-            is_fn = bool(params) or isinstance(item, LogicalDecl)
+            is_fn = bool(params)
             self._items.append((name, is_fn, self._function(
                 name if is_fn else None, params, body, None)))
 
@@ -418,13 +421,20 @@ class Evaluator:
         if cls is Lambda:
             fn = self._function(None, e.params, e.body, names)
             return _Code(lambda env: VClosure(fn, env), total=True)
+        if cls is TrueP:
+            return _Code(lambda env: True, total=True)
         if cls is Absurd:
             return _Code(_raiser("absurd-reached", "reached absurd", e.loc))
-        if cls is BinOp and e.op in ("&&", "||"):
-            # the operands are bools, which `if` passes on
-            e = (If(e.left, e.right, BoolLit(False)) if e.op == "&&"
-                 else If(e.left, BoolLit(True), e.right))
-            cls = If
+        if cls is Forall or cls is PostMeta:
+            return _Code(_raiser("stuck", f"cannot run {cls.__name__}", e.loc))
+        if cls is Not:  # `not b` is `b -> false`
+            e, cls = BinOp("->", e.body, BoolLit(False)), BinOp
+        # the connectives are `if`s; their operands are bools, which `if`
+        # passes on
+        if cls is BinOp and e.op in ("||", "\\/"):
+            e, cls = If(e.left, BoolLit(True), e.right), If
+        elif cls is BinOp and e.op in ("&&", "/\\", "->"):
+            e, cls = If(e.left, e.right, BoolLit(e.op == "->")), If
         if cls is If:
             then = self._expr(e.then, names)
             els = self._expr(e.els, names)
@@ -648,9 +658,34 @@ def _global(globals_: dict, name: str, loc):
         try:
             return globals_[name]
         except KeyError:
+            if name in BUILTINS:
+                return BUILTINS[name]
             raise RunError("stuck", f"unbound variable {name!r}",
                            loc) from None
     return run
+
+
+def _height(t) -> int:
+    best, todo = 0, [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
+        if t.name != "Empty":
+            depth += 1
+            best = max(best, depth)
+            todo += ((t.args[0], depth), (t.args[2], depth))
+    return best
+
+
+def _builtin(arity: int, f) -> VClosure:
+    return VClosure((arity, lambda env: f(*env[1:arity + 1]), ()), None)
+
+
+# the builtin logical symbols, for a name that no item defines
+BUILTINS = {
+    "length": _builtin(1, lambda xs: len(list_items(xs))),
+    "max": _builtin(2, max),
+    "height": _builtin(1, _height),
+}
 
 
 def _resume_apply(frame, value):
@@ -763,93 +798,6 @@ def _gen_tree(rng, budget, size):
 
 
 # ---------------------------------------------------------------------------
-# Executable interpretation of requires clauses
-
-
-class NotExecutable(Exception):
-    pass
-
-
-# connective -> the value of its left operand that decides it alone, and
-# the value it then has
-_CONNECTIVES = {"/\\": (False, False), "\\/": (True, True),
-                "->": (False, True)}
-
-
-class FormulaEvaluator:
-    """Best-effort executable reading of spec formulas; quantifiers and
-    uninterpreted symbols raise NotExecutable, which makes the harness
-    skip precondition filtering for that clause.  The bodies of defined
-    logical symbols run on an `Evaluator`, whose fuel carries over from
-    one call to the next."""
-
-    def __init__(self, logicals: dict, fuel: int = 10**5):
-        # name -> LogicalDecl (only those with bodies are executable)
-        self.logicals = logicals
-        self.ev = Evaluator([d for d in logicals.values()
-                             if d.body is not None])
-        self.ev.load(fuel)
-
-    def eval(self, f: Expr, env: dict):
-        cls = type(f)
-        if cls is Var:
-            if f.name in env:
-                return env[f.name]
-            raise NotExecutable(f.name)
-        if cls is IntLit or cls is BoolLit:
-            return f.value
-        if cls is TrueP:
-            return True
-        if cls is App:
-            head, args = spine(f)
-            return self.call_logical(head.name,
-                                     [self.eval(a, env) for a in args])
-        if cls is TupleE:
-            return VTuple(tuple(self.eval(a, env) for a in f.items))
-        if cls is ConstructorApp:
-            return VConstr(f.name, tuple(self.eval(a, env) for a in f.args))
-        if cls is Not:
-            return not self.eval(f.body, env)
-        if cls is not BinOp:
-            raise NotExecutable(cls.__name__)
-        op = f.op
-        if op in _CONNECTIVES:
-            stop, decided = _CONNECTIVES[op]
-            if bool(self.eval(f.left, env)) == stop:
-                return decided
-            return bool(self.eval(f.right, env))
-        left, right = self.eval(f.left, env), self.eval(f.right, env)
-        if op == "/":
-            if right == 0:
-                raise NotExecutable("division by zero")
-            return _divide(left, right, None)
-        return BINOPS[op](left, right)
-
-    def call_logical(self, name: str, args):
-        if name == "length":
-            return len(list_items(args[0]))
-        if name == "max":
-            return max(args[0], args[1])
-        if name == "height":
-            def h(t):
-                if t.name == "Empty":
-                    return 0
-                return 1 + max(h(t.args[0]), h(t.args[2]))
-            return h(args[0])
-        decl = self.logicals.get(name)
-        if decl is None or decl.body is None:
-            raise NotExecutable(name)
-        if len(args) != len(decl.params):
-            raise NotExecutable(name)
-        fn = self.ev.globals[name]
-        return self.ev.enter(fn.fn, args, fn)
-
-
-def make_formula_evaluator(p: Program, fuel: int = 10**5) -> FormulaEvaluator:
-    return FormulaEvaluator({d.name: d for d in p.prelude}, fuel=fuel)
-
-
-# ---------------------------------------------------------------------------
 # Equivalence harness
 
 
@@ -921,10 +869,10 @@ def equiv_check(p: Program, t: TargetProgram, entry: str,
                 trials: int = 100, seed: int = 0, fuel: int = 10**6,
                 size: int = 20, type_decls=None) -> EquivReport:
     """Run `entry` on both the source and the target with random
-    first-order arguments and compare outcomes (values or error kinds).
-    A trial in which either side runs out of fuel is not compared, and
-    another is drawn instead.  Both programs are compiled once, for all
-    trials."""
+    first-order arguments that the entry's `requires` clauses accept, and
+    compare outcomes (values or error kinds).  A trial in which either side
+    runs out of fuel is not compared, and another is drawn instead.  Both
+    programs and the clauses are compiled once, for all trials."""
     for entry_def in p.items:
         if isinstance(entry_def, LetDef) and entry_def.name == entry:
             break
@@ -936,18 +884,15 @@ def equiv_check(p: Program, t: TargetProgram, entry: str,
             decls.setdefault(it.name, it)
     gen = ValueGen(decls)
     rng = random.Random(seed)
-    fe = make_formula_evaluator(p)
     source = Evaluator(p.items)
     target = Evaluator(t.apply_defs + t.items)
+    requires = _requires(p, entry_def)
     report = EquivReport(entry=entry, requested=trials, seed=seed)
-    requires = entry_def.spec.requires if entry_def.spec else []
-    header = entry_def.spec.arg_names if entry_def.spec else []
     attempts = 0
     while report.trials < trials and attempts < trials * 50:
         attempts += 1
         args = [gen.draw(ty, rng, size) for _, ty in entry_def.params]
-        if requires and not _requires_ok(fe, requires, header,
-                                         entry_def.params, args):
+        if not _requires_ok(requires, args):
             report.skipped += 1
             continue
         ho = _outcome(source, entry, args, fuel)
@@ -963,14 +908,27 @@ def equiv_check(p: Program, t: TargetProgram, entry: str,
     return report
 
 
-def _requires_ok(fe: FormulaEvaluator, requires, header_names, params, args):
-    env = {n: v for (n, _), v in zip(params, args)}
-    for h, v in zip(header_names, args):
-        env.setdefault(h, v)
-    for f in requires:
+def _requires(p: Program, d: LetDef) -> list[Evaluator]:
+    """One evaluator per `requires` clause of `d`, of the prelude's defined
+    symbols and of the clause as a function `requires` (a keyword, so no
+    symbol's name) of `d`'s parameters, with the spec header's names
+    renamed to them."""
+    spec = d.spec
+    mapping = {n: Var(actual) for n, (actual, _) in
+               zip(spec.arg_names if spec else (), d.params)}
+    defined = [decl for decl in p.prelude if decl.body is not None]
+    return [Evaluator(defined + [LogicalDecl(
+        "requires", d.params, BOOL, body=subst_formula(f, mapping))])
+        for f in (spec.requires if spec else ())]
+
+
+def _requires_ok(requires: list, args, fuel: int = 10**5) -> bool:
+    """Whether no clause of `requires` is false of `args`.  Each clause runs
+    with `fuel` of its own; one that raises `RunError` is not checked."""
+    for ev in requires:
         try:
-            if not fe.eval(f, env):
+            if not ev.call("requires", args, fuel):
                 return False
-        except NotExecutable:
-            continue
+        except RunError:
+            pass
     return True

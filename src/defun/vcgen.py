@@ -8,6 +8,7 @@ serialized as standalone SMT-LIB2 files (goal negated; `unsat` = valid).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shlex
@@ -740,8 +741,12 @@ def _flat(sort: str) -> str:
 
 def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str) -> list[dict]:
     """Write one `.smt2` file per VC plus an `index.json` manifest;
-    returns the manifest entries."""
+    returns the manifest entries.  The files that the directory's previous
+    manifest lists and this one does not are removed first."""
     os.makedirs(outdir, exist_ok=True)
+    for fname in _listed(outdir) - {f"{vc.name}.smt2" for vc in vcs}:
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(outdir, fname))
     emitter = SmtEmitter(t)
     manifest = []
     for vc in vcs:
@@ -760,6 +765,17 @@ def emit_smt(vcs: list[VC], t: TargetProgram, outdir: str) -> list[dict]:
     with open(os.path.join(outdir, "index.json"), "w") as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
     return manifest
+
+
+def _listed(outdir: str) -> set:
+    """The file names that `outdir`'s `index.json` lists, if it reads as a
+    manifest; a name with a directory part is left out."""
+    try:
+        with open(os.path.join(outdir, "index.json")) as fh:
+            names = {entry["file"] for entry in json.load(fh)}
+        return {n for n in names if os.path.basename(n) == n}
+    except (OSError, ValueError, TypeError, KeyError):
+        return set()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """What the compiler writes for many programs, one line per program.
 
 A line holds the program's name and the sha256 of its WhyML text, of every
-`.smt2` file and of `index.json`.  For a program that is rejected it holds
+`.smt2` file and of `index.json`, then, except for a generated program,
+the equivalence oracle's report on each entry that `defun corpus` checks,
+at 20 trials, seed 0 and fuel 10^4: `equiv:<entry>=<status>/<trials
+compared>/<skipped>/<out of fuel>`.  For a program that is rejected it holds
 the kind, location and message of the `SourceError` instead, and for one
 that crashes the exception.  The programs are the corpus, the programs
 of `tests/genprog.py` for seeds 0-2999, and every string literal in
@@ -27,10 +30,12 @@ import tempfile
 TESTS = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
+from defun.cli import _equiv_entries  # noqa: E402
 from defun.defunc import defunctionalize  # noqa: E402
 from defun.emit import emit_whyml  # noqa: E402
 from defun.errors import SourceError  # noqa: E402
 from defun.frontend import parse_program  # noqa: E402
+from defun.interp import equiv_check  # noqa: E402
 from defun.typecheck import Checker  # noqa: E402
 from defun.vcgen import emit_smt, generate_vcs  # noqa: E402
 
@@ -70,6 +75,15 @@ def line(name: str, text: str, outdir: pathlib.Path) -> str:
         emit_smt(generate_vcs(target), target, str(outdir))
         parts += [f"{p.name}={_sha(p.read_bytes())}"
                   for p in sorted(outdir.iterdir())]
+        # some generated programs' big-integer folds stall `equiv`; the
+        # low fuel keeps a test's non-terminating `spin` to seconds
+        entries = [] if name.startswith("genprog:") else _equiv_entries(
+            program, target)
+        for entry in entries:
+            r = equiv_check(program, target, entry, trials=20, seed=0,
+                            fuel=10**4, type_decls=checker.env.type_decls)
+            parts.append(f"equiv:{entry}={r.status}/{r.trials}/{r.skipped}"
+                         f"/{r.exhausted}")
     except SourceError as e:
         return f"{name} rejected {e.kind}: {e.loc}: {e.message}"
     except Exception as e:  # a crash is a difference too

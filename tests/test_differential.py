@@ -12,3 +12,6 @@ def test_two_runs_write_the_same_lines():
     for (name, _), text in zip(progs, first):
         assert text.startswith(f"{name} whyml=")
         assert "index.json=" in text
+        assert ("equiv:" in text) == name.startswith("corpus:")
+    by_name = {name: text for (name, _), text in zip(progs, first)}
+    assert by_name["corpus:length.mlg"].endswith(" equiv:len=PASS/20/0/0")

@@ -4,8 +4,8 @@ import pytest
 
 from defun.frontend import parse_program
 from defun.interp import (
-    NIL, RunError, VConstr, VTuple, equiv_check, eval_fo, eval_ho, gen_value,
-    render_value, vlist,
+    NIL, Evaluator, RunError, VConstr, VTuple, equiv_check, eval_fo, eval_ho,
+    gen_value, render_value, vlist,
 )
 from defun.syntax import ConstructorApp, LetDef, TNamed, Var, int_list, INT
 
@@ -156,6 +156,66 @@ class TestEquivalence:
         assert report.status == "INCONCLUSIVE" and not report.passed
 
 
+def _equiv(text, entry, trials=100, fuel=10**6):
+    p, c, t = pipeline(text)
+    return equiv_check(p, t, entry, trials=trials, seed=0, fuel=fuel,
+                       type_decls=c.env.type_decls)
+
+
+class TestRequiresFilter:
+    """`equiv_check` runs the entry's `requires` clauses on the program
+    evaluator, each check with fuel of its own; a clause that raises is
+    not checked."""
+
+    def test_each_check_has_fresh_fuel(self):
+        # about 100 applications per check: a shared budget of 10^5 ran
+        # out after some thousand draws
+        report = _equiv(
+            "(*@ function len2 (l : int list) : int =\n"
+            "      match l with\n"
+            "      | [] -> 0\n"
+            "      | _ :: t -> 1 + len2 t *)\n\n"
+            "let f (l : int list) : int = 0\n"
+            "(*@ requires len2 l + len2 l + len2 l + len2 l + len2 l\n"
+            "             = 100 *)\n",
+            "f")
+        assert (report.status, report.trials, report.skipped) == (
+            "PASS", 100, 2142)
+
+    def test_a_logical_constant_in_a_body_is_a_value(self):
+        report = _equiv("(*@ function c : int = 3 *)\n"
+                        "(*@ function g (x : int) : int = x + c *)\n\n"
+                        "let f (x : int) : int = x\n"
+                        "(*@ requires g x > 0 *)\n", "f")
+        assert (report.status, report.skipped) == ("PASS", 85)
+
+    def test_a_logical_constant_in_a_clause_is_checked(self):
+        report = _equiv("(*@ function c : int = 3 *)\n\n"
+                        "let f (x : int) : int = x\n"
+                        "(*@ requires x > c *)\n", "f")
+        assert (report.status, report.skipped) == ("PASS", 143)
+
+    def test_header_names_are_the_parameters_in_order(self):
+        # header `b` is the first parameter, `a`: the clause reads a >= 0,
+        # so no accepted draw recurses down from a negative `a`
+        report = _equiv(
+            "let rec g (a : int) (b : int) : int =\n"
+            "  if a = 0 then b else g (a - 1) b\n"
+            "(*@ r = g b a requires b >= 0 ensures r = a *)\n",
+            "g", fuel=1000)
+        assert report.exhausted == 0
+        assert (report.status, report.skipped) == ("PASS", 87)
+
+    def test_a_clause_that_cannot_run_is_not_checked(self):
+        report = _equiv(
+            "let f (x : int) : int = x\n"
+            "(*@ requires x > 0 \\/ forall y : int. y = y\n"
+            "    requires 1 / x > 100 *)\n", "f", trials=20)
+        # the quantifier is reached only when x <= 0 and the division
+        # raises only when x = 0, which every other draw fails
+        assert report.trials == 20 and report.skipped > 0
+
+
 # ---------------------------------------------------------------------------
 # The compiled, iterative evaluator
 
@@ -243,6 +303,18 @@ class TestDepth:
         assert _exhausts(lambda: eval_fo(t, "height_tree_cps", [tree]))
         assert eval_fo(t, "height_tree_cps", [tree],
                        fuel=10 * self.N + 5) == self.N
+
+    def test_builtin_logicals_on_deep_values(self, long_list):
+        p, _, _ = pipeline(
+            "(*@ function h (t : int tree) (l : int list) : int =\n"
+            "      max (height t) (length l) + height Empty *)\n")
+        ev = Evaluator(p.prelude)
+        tree = _tree(range(2 * self.N))
+        assert ev.call("h", [tree, long_list], fuel=7) == 2 * self.N
+        # its right branch is one deeper than its left
+        right = VConstr("Node", (SMALL_TREE, 0, VConstr("Node", (
+            VConstr("Empty"), 0, SMALL_TREE))))
+        assert ev.call("h", [right, NIL], fuel=7) == 4
 
     def test_no_stack_workarounds(self):
         import defun.interp

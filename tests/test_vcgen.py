@@ -334,6 +334,29 @@ class TestOverwrite:
         for name in names:
             assert (old / name).read_bytes() == (fresh / name).read_bytes()
 
+    def test_files_only_the_old_index_lists_are_removed(self, tmp_path):
+        f = "let f (x : int) : int = x\n(*@ r = f x\n    ensures r = x *)\n"
+        g = "let g (y : int) : int = y\n(*@ r = g y\n    ensures r = y *)\n"
+        _, _, t = pipeline(f + g)
+        emit_smt(generate_vcs(t), t, tmp_path / "out")
+        assert (tmp_path / "out" / "vc_g_0.smt2").exists()
+        (tmp_path / "out" / "notes.txt").write_text("kept")
+        _, _, t = pipeline(f)
+        manifest = emit_smt(generate_vcs(t), t, tmp_path / "out")
+        assert [e["file"] for e in manifest] == ["vc_f_0.smt2"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "index.json", "notes.txt", "vc_f_0.smt2"]
+
+    def test_names_outside_the_directory_are_not_removed(self, tmp_path):
+        t, vcs = self.vcs()
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "outside.smt2").write_text("kept")
+        (out / "index.json").write_text(json.dumps(
+            [{"file": "../outside.smt2"}, {"file": str(tmp_path)}]))
+        emit_smt(vcs, t, out)
+        assert (tmp_path / "outside.smt2").read_text() == "kept"
+
     def test_index_is_the_manifest_as_json(self, tmp_path):
         t, vcs = self.vcs()
         manifest = emit_smt(vcs, t, tmp_path)
