@@ -8,14 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import Loc, TransformError
-from .specs import (
-    expand_post_meta, formula_names, passthrough_lemma, subst_formula,
-    translate_spec,
-)
+from .specs import expand_post_meta, formula_names, subst_formula
 from .syntax import (
-    Absurd, App, BinOp, ConstructorApp, Expr, ExprStmt, Forall, LemmaDecl,
-    LetDef, LetIn, Lambda, Match, PConstr, PInt, PTuple, PVar, PWild,
-    Pattern, Program, Spec, TArrow, TNamed, TTuple, TrueP, Ty, TypeDecl, Var,
+    Absurd, App, BinOp, BoolLit, ConstructorApp, Expr, ExprStmt, Forall,
+    LemmaDecl, LetDef, LetIn, Lambda, Match, PConstr, PInt, PTuple, PVar,
+    PWild, Pattern, Program, Spec, TArrow, TNamed, TTuple, Ty, TypeDecl, Var,
     arrow, call, conj, contains_arrow, map_children, spine, walk,
 )
 from .typecheck import BUILTIN_CONSTRUCTORS, Checker
@@ -297,10 +294,8 @@ class Defunctionalizer:
             elif isinstance(item, LetDef):
                 items.append(self.rewrite_letdef(item))
             elif isinstance(item, LemmaDecl):
-                lem = passthrough_lemma(item, self.family_for)
-                lemmas.append(LemmaDecl(
-                    lem.name, self.rewrite_formula_tys(lem.formula),
-                    loc=lem.loc))
+                lemmas.append(LemmaDecl(item.name, self.formula(item.formula),
+                                        loc=item.loc))
             elif isinstance(item, ExprStmt):
                 items.append(ExprStmt(self.rewrite(item.expr), loc=item.loc))
         kont_decls = [self.kont_decl(f) for f in self.families]
@@ -313,6 +308,11 @@ class Defunctionalizer:
             prelude=list(self.program.prelude),
             bypassed={n for n, info in self.fns.items() if info.bypassed},
             names=self.taken)
+
+    def formula(self, f: Expr) -> Expr:
+        """A checked formula in the target vocabulary: its `post`s
+        expanded, and the arrow types of its quantifiers rewritten."""
+        return self.rewrite_formula_tys(expand_post_meta(f, self.family_for))
 
     def rewrite_formula_tys(self, f: Expr) -> Expr:
         """Rewrite arrow types in quantifier binders (and nothing else)."""
@@ -336,11 +336,8 @@ class Defunctionalizer:
         body = self.rewrite(d.body)
         spec = None
         if d.spec is not None:
-            requires, ensures = translate_spec(
-                d.spec, d, self.family_for, self.rewrite_ty)
-            spec = Spec(result_names=[], arg_names=[],
-                        requires=[self.rewrite_formula_tys(f) for f in requires],
-                        ensures=[self.rewrite_formula_tys(f) for f in ensures],
+            spec = Spec(requires=[self.formula(f) for f in d.spec.requires],
+                        ensures=[self.formula(f) for f in d.spec.ensures],
                         loc=d.spec.loc)
         return LetDef(d.is_rec, d.name, params, ret, body, spec=spec, loc=d.loc)
 
@@ -405,20 +402,9 @@ class Defunctionalizer:
     def site_post(self, s: LambdaSite, result: str) -> Expr:
         """The post arm of one site, with the result named `result`."""
         if s.spec and s.spec.ensures:
-            ensures = []
-            for f in s.spec.ensures:
-                g = f
-                if s.spec.arg_names:
-                    g = subst_formula(
-                        g, {s.spec.arg_names[0]: Var(s.param[0])})
-                if s.spec.result_names:
-                    g = subst_formula(
-                        g, {s.spec.result_names[0]: Var(result)})
-                elif result != "result":
-                    g = subst_formula(g, {"result": Var(result)})
-                ensures.append(self.rewrite_formula_tys(
-                    expand_post_meta(g, self.family_for)))
-            return conj(ensures)
+            rename = {} if result == "result" else {"result": Var(result)}
+            return conj([self.formula(subst_formula(f, rename))
+                         for f in s.spec.ensures])
         inner = self.site_of.get(id(s.body))
         if inner is not None:
             # an unannotated curried lambda returns the next closure in
@@ -426,7 +412,7 @@ class Defunctionalizer:
             return BinOp("=", Var(result),
                          ConstructorApp(inner.ctor_name,
                                         [Var(n) for n, _ in inner.captured]))
-        return TrueP()
+        return BoolLit(True)
 
     # -- expression rewriting ---------------------------------------------
 

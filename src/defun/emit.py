@@ -14,7 +14,7 @@ from .syntax import (
     Absurd, App, BinOp, BoolLit, CONNECTIVES, ConstructorApp, ExprStmt,
     Forall, If, IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match,
     Not, PConstr, PInt, PTuple, PVar, PWild, PostMeta, Program, RELATIONS,
-    Seq, Spec, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TrueP, TupleE, Ty,
+    Seq, Spec, TArrow, TBool, TInt, TNamed, TTuple, TUnit, TupleE, Ty,
     TypeDecl, UnitLit, Var, spine, BOOL, INT, UNIT,
 )
 
@@ -95,7 +95,7 @@ class WhymlWriter:
             out.append(f"  type {item.name} = {variants}")
         elif kind == "logical":
             head = "predicate" if item.is_predicate else "function"
-            sig = f"  {head} {item.name} {self.params(item.params)}"
+            sig = f"  {head} {item.name}{self.params(item.params)}"
             if not item.is_predicate:
                 sig += f" : {self.ty(item.ret)}"
             if item.body is not None:
@@ -107,7 +107,7 @@ class WhymlWriter:
                                       (p.arg_param, p.arg_ty),
                                       (p.result_param, p.result_ty)])
                 head = "predicate" if i == 0 else "with"
-                out.append(f"  {head} {p.name} {params} =")
+                out.append(f"  {head} {p.name}{params} =")
                 out.append(f"    match {p.kont_param} with")
                 for pat, f in p.arms:
                     out.append(f"    | {self.pattern(pat)} -> "
@@ -123,7 +123,7 @@ class WhymlWriter:
             raise AssertionError(kind)
 
     def _letdef(self, d: LetDef, head: str, out: list):
-        out.append(f"  {head} {d.name} {self.params(d.params)} : "
+        out.append(f"  {head} {d.name}{self.params(d.params)} : "
                    f"{self.ty(d.ret)}")
         if d.spec is not None:
             for f in d.spec.requires:
@@ -133,7 +133,8 @@ class WhymlWriter:
         out.append(f"  = {self.term(d.body, 1)}")
 
     def params(self, params) -> str:
-        return " ".join(f"({n} : {self.ty(t)})" for n, t in params)
+        """Each parameter with the space that precedes it."""
+        return "".join(f" ({n} : {self.ty(t)})" for n, t in params)
 
     def ty(self, ty: Ty, atom: bool = False) -> str:
         cls = type(ty)
@@ -222,8 +223,6 @@ class WhymlWriter:
                     + ")")
         if cls is BoolLit:
             return "true" if x.value else "false"
-        if cls is TrueP:
-            return "true"
         if cls is Not:
             return f"(not {self.term(x.body, indent, True)})"
         if cls is Forall:
@@ -237,7 +236,7 @@ class WhymlWriter:
         if cls is Absurd:
             return "absurd"
         if cls is Lambda:
-            return (f"(fun {self.params(x.params)} -> "
+            return (f"(fun{self.params(x.params)} -> "
                     f"{self.term(x.body, indent)})")
         raise AssertionError(f"unrenderable term {x!r}")
 
@@ -477,7 +476,7 @@ class WhymlParser(Parser):
         self.expect("op", "=")
         body = self.parse_wexpr()
         return LetDef(is_rec, name, params, ret, body,
-                      spec=spec if not spec.is_empty() else None)
+                      spec=spec if spec.requires or spec.ensures else None)
 
     # -- expressions (prefix constructor application) ----------------------
 
@@ -728,8 +727,6 @@ def s_expr(e) -> str:
         return str(e.value) if e.value >= 0 else f"(-{-e.value})"
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
-    if isinstance(e, TrueP):
-        return "true"
     if isinstance(e, UnitLit):
         return "()"
     if isinstance(e, Var):
@@ -786,7 +783,7 @@ def _s_atom(e) -> str:
     s = s_expr(e)
     if s.startswith("("):
         return s
-    if isinstance(e, (Var, IntLit, BoolLit, UnitLit, TrueP)):
+    if isinstance(e, (Var, IntLit, BoolLit, UnitLit)):
         return s
     if isinstance(e, ConstructorApp) and not e.args:
         return s

@@ -17,7 +17,7 @@ from .syntax import (
     App, BinOp, BoolLit, ConstructorApp, ExprStmt, Forall, If, IntLit,
     LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, Not, PConstr, PInt,
     PTuple, PVar, PWild, PostMeta, Program, Seq, Spec, TArrow, TNamed, TTuple,
-    TooDeep, TrueP, TupleE, TypeDecl, UnitLit, Var, children, FORMULA_OP,
+    TooDeep, TupleE, TypeDecl, UnitLit, Var, children, FORMULA_OP,
     formula_of_binop, normalize_program, BOOL, INT, UNIT,
 )
 
@@ -654,7 +654,7 @@ class Parser:
             self.next()
             return formula_of_binop(op.text, t, self.parse_fterm(), op.loc)
         if type(t) is BoolLit:
-            return TrueP(loc=op.loc) if t.value else Not(TrueP(), loc=op.loc)
+            return t if t.value else Not(BoolLit(True), loc=op.loc)
         return t
 
     def parse_post(self):

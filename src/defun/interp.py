@@ -17,12 +17,11 @@ import operator  # already loaded by `random`
 import random
 from .defunc import TargetProgram
 from .errors import Loc
-from .specs import subst_formula
 from .syntax import (
     Absurd, App, BinOp, BoolLit, ConstructorApp, ExprStmt, Forall, If, IntLit,
     Lambda, LetDef, LetIn, LogicalDecl, Match, Not, PConstr, PInt, PostMeta,
     PTuple, PVar, PWild, Program, Seq, TBool, TInt, TNamed, TTuple, TUnit,
-    TrueP, TupleE, Ty, TypeDecl, UnitLit, Var, BOOL,
+    TupleE, Ty, TypeDecl, UnitLit, Var, BOOL,
 )
 
 # ---------------------------------------------------------------------------
@@ -421,8 +420,6 @@ class Evaluator:
         if cls is Lambda:
             fn = self._function(None, e.params, e.body, names)
             return _Code(lambda env: VClosure(fn, env), total=True)
-        if cls is TrueP:
-            return _Code(lambda env: True, total=True)
         if cls is Absurd:
             return _Code(_raiser("absurd-reached", "reached absurd", e.loc))
         if cls is Forall or cls is PostMeta:
@@ -910,16 +907,12 @@ def equiv_check(p: Program, t: TargetProgram, entry: str,
 
 def _requires(p: Program, d: LetDef) -> list[Evaluator]:
     """One evaluator per `requires` clause of `d`, of the prelude's defined
-    symbols and of the clause as a function `requires` (a keyword, so no
-    symbol's name) of `d`'s parameters, with the spec header's names
-    renamed to them."""
-    spec = d.spec
-    mapping = {n: Var(actual) for n, (actual, _) in
-               zip(spec.arg_names if spec else (), d.params)}
+    symbols and of the checked clause, which is over `d`'s parameters, as a
+    function `requires` (a keyword, so no symbol's name) of them."""
     defined = [decl for decl in p.prelude if decl.body is not None]
-    return [Evaluator(defined + [LogicalDecl(
-        "requires", d.params, BOOL, body=subst_formula(f, mapping))])
-        for f in (spec.requires if spec else ())]
+    return [Evaluator(defined + [LogicalDecl("requires", d.params, BOOL,
+                                             body=f)])
+            for f in (d.spec.requires if d.spec else ())]
 
 
 def _requires_ok(requires: list, args, fuel: int = 10**5) -> bool:

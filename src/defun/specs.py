@@ -1,10 +1,12 @@
-"""Translation of specification formulas into the first-order vocabulary.
+"""Operations on specification formulas.
 
-A formula is a term of the expression language (see `syntax`).  The main
-job is expanding the `post` meta-predicate into calls of the generated
-per-family post predicates, introducing a fresh quantified intermediate
-for every extra argument, and renaming spec-header names to the
-definition's actual parameters and the canonical `result`.
+A formula is a term of the expression language (see `syntax`).  The
+checker binds a spec header's names once (`Checker.check_spec`), so every
+clause reaching this module is already over the parameters and `result`.
+Here are the capture-avoiding substitution the checker and the VC
+generator rename with, and the expansion of the `post` meta-predicate into
+calls of the generated per-family post predicates, with a fresh quantified
+intermediate for every extra argument.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import replace
 
 from .errors import TransformError
 from .syntax import (
-    App, BinOp, Expr, Forall, LemmaDecl, LetDef, LetIn, PostMeta, Spec,
-    TArrow, TupleE, Var, call, map_children, walk,
+    App, BinOp, Expr, Forall, LetDef, LetIn, PostMeta, TArrow, Var, call,
+    map_children, walk,
 )
 
 
@@ -31,31 +33,56 @@ def formula_names(f: Expr) -> set[str]:
 
 
 def subst_formula(f: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Substitute terms for free variables; binders shadow as expected,
-    and the symbol a call applies is not a variable."""
-    def under(mapping):
-        def go(f):
-            cls = type(f)
-            if cls is Var:
-                return mapping.get(f.name, f)
-            if cls is App:  # the head of a call is a symbol
-                fn = f.fn if type(f.fn) is Var else go(f.fn)
-                return App(fn, go(f.arg), loc=f.loc)
-            if cls is Forall:
-                bound = {n for n, _ in f.binders}
-                inner = {k: v for k, v in mapping.items() if k not in bound}
-                return Forall(list(f.binders), under(inner)(f.body), loc=f.loc)
-            if cls is LetIn:
-                d = f.defn
-                inner = {k: v for k, v in mapping.items() if k != d.name}
-                return LetIn(replace(d, body=go(d.body)),
-                             under(inner)(f.body), loc=f.loc)
-            if isinstance(f, Expr):
-                return map_children(f, go)
-            return f
-        return go
+    """Substitute terms for free variables, all at once.  Binders shadow,
+    and a binder is renamed to a fresh `varN` when a name occurring under
+    it is replaced by a term that mentions it, so that it captures nothing
+    (Barendregt's variable convention); no other binder is renamed.  The
+    symbol a call applies is not a variable."""
+    fresh = None
 
-    return under(dict(mapping))(f)
+    def bind(names, body, mapping):
+        """`names`, bound over `body`, each renamed if it would capture,
+        and the mapping under them."""
+        nonlocal fresh
+        used = formula_names(body)
+        inner = {k: v for k, v in mapping.items()
+                 if k in used and k not in names}
+        caught = set().union(*map(formula_names, inner.values()))
+        out = []
+        for n in names:
+            if n in caught:
+                if fresh is None:
+                    fresh = FreshNames(formula_names(f).union(
+                        *map(formula_names, mapping.values())))
+                m = fresh.fresh()
+                inner[n] = Var(m)
+                n = m
+            out.append(n)
+        return out, inner
+
+    def go(f, mapping):
+        if not mapping:
+            return f
+        cls = type(f)
+        if cls is Var:
+            return mapping.get(f.name, f)
+        if cls is App:  # the head of a call is a symbol
+            fn = f.fn if type(f.fn) is Var else go(f.fn, mapping)
+            return App(fn, go(f.arg, mapping), loc=f.loc)
+        if cls is Forall:
+            names, inner = bind([n for n, _ in f.binders], f.body, mapping)
+            return Forall([(m, t) for m, (_, t) in zip(names, f.binders)],
+                          go(f.body, inner), loc=f.loc)
+        if cls is LetIn:
+            d = f.defn
+            (name,), inner = bind([d.name], f.body, mapping)
+            return LetIn(replace(d, name=name, body=go(d.body, mapping)),
+                         go(f.body, inner), loc=f.loc)
+        if isinstance(f, Expr):
+            return map_children(f, lambda c: go(c, mapping))
+        return f
+
+    return go(f, mapping)
 
 
 class FreshNames:
@@ -108,43 +135,3 @@ def expand_post_meta(f: Expr, resolver) -> Expr:
         return f
 
     return go(f)
-
-
-def translate_spec(spec: Spec, d: LetDef, resolver, rewrite_ty) -> tuple[list, list]:
-    """Rename header names to the actual parameters and `result`, expand
-    PostMetas, and encode multiple result names as projections of a single
-    result."""
-    mapping: dict[str, Expr] = {}
-    if spec.arg_names:
-        if len(spec.arg_names) != len(d.params):
-            raise TransformError(
-                "header-arity",
-                f"spec header of {d.name!r} names {len(spec.arg_names)} "
-                f"arguments, definition has {len(d.params)}", spec.loc)
-        for n, (actual, _) in zip(spec.arg_names, d.params):
-            mapping[n] = Var(actual)
-
-    def translate(f: Expr) -> Expr:
-        out = subst_formula(f, mapping)
-        if len(spec.result_names) > 1:
-            names = formula_names(out)
-            if any(r in names for r in spec.result_names):
-                binders = [(r, rewrite_ty(t, spec.loc))
-                           for r, t in zip(spec.result_names, d.ret.items)]
-                out = Forall(
-                    binders,
-                    BinOp("->", BinOp("=", Var("result"),
-                                      TupleE([Var(r) for r, _ in binders])),
-                          out),
-                    loc=spec.loc)
-        elif spec.result_names:
-            out = subst_formula(out, {spec.result_names[0]: Var("result")})
-        return expand_post_meta(out, resolver)
-
-    return ([translate(f) for f in spec.requires],
-            [translate(f) for f in spec.ensures])
-
-
-def passthrough_lemma(lemma: LemmaDecl, resolver) -> LemmaDecl:
-    return LemmaDecl(lemma.name,
-                     expand_post_meta(lemma.formula, resolver), loc=lemma.loc)

@@ -1,10 +1,13 @@
 """Core AST: types, patterns, terms, specs and programs.
 
 Code and specifications share one term language: a formula is built from
-the expression nodes, plus the four formula-only nodes `Not`, `Forall`,
-`TrueP` and `PostMeta`.  List sugar is not a node either: `[]`, `h :: t`
-and `[a; b]` are the builtin constructors `Nil` and `Cons`, in
-expressions and in patterns.
+the expression nodes, plus the three formula-only nodes `Not`, `Forall`
+and `PostMeta`; the proposition `true` is `BoolLit(True)`, and `false` is
+`not true`.  List sugar is not a node either: `[]`, `h :: t` and
+`[a; b]` are the builtin constructors `Nil` and `Cons`, in expressions and
+in patterns.  A spec's header (`r = f x`) is bound by the checker, which
+rewrites the clauses over the parameters and `result` and empties
+`result_names` and `arg_names`.
 
 All nodes are plain dataclasses.  Structural equality deliberately ignores
 source locations and resolved types so that round-trip tests can compare
@@ -158,9 +161,6 @@ class Spec:
     requires: list = field(default_factory=list)
     ensures: list = field(default_factory=list)
     loc: Optional[Loc] = _meta()
-
-    def is_empty(self):
-        return not (self.result_names or self.arg_names or self.requires or self.ensures)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +345,6 @@ class Forall(Expr):
 
 
 @dataclass
-class TrueP(Expr):
-    loc: Optional[Loc] = _meta()
-
-
-@dataclass
 class PostMeta(Expr):
     """`post (f : t) a1 ... an r` before expansion into concrete posts.
 
@@ -366,12 +361,12 @@ class PostMeta(Expr):
 RELATIONS = frozenset({"=", "<", "<="})
 CONNECTIVES = frozenset({"/\\", "\\/", "->"})
 
-FALSE = Not(TrueP())
+FALSE = Not(BoolLit(True))
 
 
 def conj(fs: list) -> Expr:
     if not fs:
-        return TrueP()
+        return BoolLit(True)
     out = fs[0]
     for f in fs[1:]:
         out = BinOp("/\\", out, f)

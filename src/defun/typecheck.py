@@ -4,7 +4,9 @@ Variables live in a stack-per-name environment: entering a binder pushes,
 leaving pops, so shadowing behaves like the source language.  The checker
 resolves (and stores) a type on every expression node, which the
 defunctionalization pass relies on for family grouping, and resolves each
-name once for the later passes (`Resolution`).
+name once for the later passes (`Resolution`).  It also binds each spec
+header once: a checked spec's clauses are over the parameters and
+`result` (`Checker.check_spec`).
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Loc, TypeError_
+from .specs import formula_names, subst_formula
 from .syntax import (
     Absurd, App, BinOp, BoolLit, CONNECTIVES, ConstructorApp, Forall,
     If, IntLit, LemmaDecl, LetDef, LetIn, Lambda, LogicalDecl, Match, Not,
     PConstr, PInt, PTuple, PVar, PWild, PostMeta, Program, RELATIONS, Seq,
-    Spec, TArrow, TNamed, TTuple, TrueP, TupleE, Ty, TypeDecl, UnitLit, Var,
+    Spec, TArrow, TNamed, TTuple, TupleE, Ty, TypeDecl, UnitLit, Var,
     arrow, map_children, spine, BOOL, INT, UNIT, int_list, int_tree,
 )
 
@@ -112,13 +115,18 @@ class Checker:
         self._lambdas: list[dict] = []
         # id(node) -> arguments applied to it; an App precedes its function
         self._applied: dict[int, int] = {}
+        # the names of the program being checked, to which the names this
+        # checker writes are added
+        self.names: set[str] = set()
 
     # -- programs ----------------------------------------------------------
 
     def check_program(self, p: Program) -> Program:
         # the builtin types this checker writes on unannotated binders are
-        # names of the program that generated names avoid
-        p.names.update(("list", "tree"))
+        # names of the program that generated names avoid, and so are
+        # `result` and any binder `check_spec` renames
+        self.names = p.names
+        self.names.update(("list", "tree", "result"))
         # type declarations come into scope first so prelude logicals can
         # mention them regardless of their position in the file
         for item in p.items:
@@ -222,7 +230,7 @@ class Checker:
         if d.is_rec:
             self.env.pop(d.name)
         if d.spec is not None:
-            self.check_spec(d.spec, d)
+            self.check_spec(d.spec, d.params, d.ret, d.name)
         self.env.push(d.name, d.arrow_ty() if d.params else d.ret, binder)
 
     def check_param_names(self, params, loc):
@@ -378,7 +386,7 @@ class Checker:
             if bt != e.ret:
                 raise mismatch(e.ret, bt, e.loc, "lambda body")
             if e.spec is not None:
-                self.check_lambda_spec(e)
+                self.check_spec(e.spec, params, e.ret)
             for n, _ in reversed(params):
                 env.pop(n)
             self._lambdas.pop()
@@ -458,54 +466,53 @@ class Checker:
 
     # -- specifications ----------------------------------------------------
 
-    def check_spec(self, spec: Spec, d: LetDef):
-        """Type-check a definition's spec in the definition's environment
-        extended with its header names and the canonical result."""
-        extra: dict[str, Ty] = {}
-        param_tys = [t for _, t in d.params]
-        if spec.arg_names:
-            if len(spec.arg_names) != len(param_tys):
-                raise TypeError_(
-                    "mismatch",
-                    f"spec header for {d.name!r} names {len(spec.arg_names)} "
-                    f"arguments, definition has {len(param_tys)}", spec.loc)
-            for n, t in zip(spec.arg_names, param_tys):
-                extra[n] = t
-        for n, t in d.params:
-            extra.setdefault(n, t)
-        ret = d.ret
-        if len(spec.result_names) > 1:
-            if not isinstance(ret, TTuple) or len(ret.items) != len(spec.result_names):
-                raise TypeError_(
-                    "mismatch",
-                    f"spec header for {d.name!r} names {len(spec.result_names)} "
-                    f"results but the return type is {ret}", spec.loc)
-            for n, t in zip(spec.result_names, ret.items):
-                extra[n] = t
-        elif spec.result_names:
-            extra[spec.result_names[0]] = ret
-        extra.setdefault("result", ret)
+    def check_spec(self, spec: Spec, params: list, ret: Ty, owner=None):
+        """Type-check the spec of the definition `owner`, or of a lambda
+        when `owner` is None, with its header names in scope, then bind the
+        header once for every later pass: each clause is rewritten over
+        `params` (by position) and `result`, and the header is dropped.
+        Several result names become `forall u v. result = (u, v) -> ...`."""
+        args, results = spec.arg_names, spec.result_names
+        if args and len(args) != len(params):
+            raise TypeError_("mismatch", (
+                f"spec header for {owner!r} names {len(args)} arguments, "
+                f"definition has {len(params)}" if owner else
+                "spec header arity does not match the lambda"), spec.loc)
+        if len(results) > 1 and owner is None:
+            raise TypeError_("mismatch", "lambda specs have a single result",
+                             spec.loc)
+        if len(results) > 1 and (not isinstance(ret, TTuple)
+                                 or len(ret.items) != len(results)):
+            raise TypeError_(
+                "mismatch", f"spec header for {owner!r} names "
+                f"{len(results)} results but the return type is {ret}",
+                spec.loc)
+        # a result name shadows an argument name, which shadows a parameter
+        extra = {"result": ret, **dict(params),
+                 **{n: t for n, (_, t) in zip(args, params)},
+                 **dict(zip(results,
+                            ret.items if len(results) > 1 else [ret]))}
         for f in spec.requires + spec.ensures:
             self.check_formula(f, extra, spec.loc)
+        mapping = {n: Var(p) for n, (p, _) in zip(args, params)}
+        if len(results) == 1:
+            mapping[results[0]] = Var("result")
 
-    def check_lambda_spec(self, lam: Lambda):
-        spec = lam.spec
-        extra: dict[str, Ty] = {}
-        if spec.arg_names:
-            if len(spec.arg_names) != len(lam.params):
-                raise TypeError_("mismatch",
-                                 "spec header arity does not match the lambda",
-                                 spec.loc)
-            for n, (_, t) in zip(spec.arg_names, lam.params):
-                extra[n] = t
-        if spec.result_names:
-            if len(spec.result_names) != 1:
-                raise TypeError_("mismatch",
-                                 "lambda specs have a single result", spec.loc)
-            extra[spec.result_names[0]] = lam.ret
-        extra.setdefault("result", lam.ret)
-        for f in spec.requires + spec.ensures:
-            self.check_formula(f, extra, spec.loc)
+        def canonical(f):
+            if len(results) > 1 and not set(results).isdisjoint(
+                    formula_names(f)):
+                f = Forall(list(zip(results, ret.items)), BinOp(
+                    "->", BinOp("=", Var("result"),
+                                TupleE([Var(r) for r in results])), f),
+                    loc=spec.loc)
+            if mapping:
+                f = subst_formula(f, mapping)  # may rename a binder
+                self.names.update(formula_names(f))
+            return f
+
+        spec.requires = [canonical(f) for f in spec.requires]
+        spec.ensures = [canonical(f) for f in spec.ensures]
+        spec.arg_names, spec.result_names = [], []
 
     # -- formulas ----------------------------------------------------------
 
@@ -553,8 +560,6 @@ class Checker:
             return "prop"
         if cls is Not:
             self.proposition(f.body, f.loc, "negated formula")
-            return "prop"
-        if cls is TrueP:
             return "prop"
         if cls is Forall:
             env = self.env

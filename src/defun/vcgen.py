@@ -21,7 +21,7 @@ from .specs import subst_formula
 from .syntax import (
     Absurd, App, BinOp, BoolLit, ConstructorApp, Expr, Forall, If, IntLit,
     LetDef, LetIn, Lambda, Match, Not, PConstr, PInt, PTuple, PVar, PWild,
-    Seq, TBool, TInt, TNamed, TTuple, TUnit, TrueP, TupleE, Ty, UnitLit, Var,
+    Seq, TBool, TInt, TNamed, TTuple, TUnit, TupleE, Ty, UnitLit, Var,
     call, conj, formula_of_binop, spine, FALSE, INT,
 )
 
@@ -179,7 +179,7 @@ class VCGen:
             else:
                 out = post(self.term(e, env, hyps))
         except _Unreachable:
-            out = TrueP()
+            out = BoolLit(True)
         return self.close(mark, out)
 
     def split(self, e: Match, scrut: Expr, post, env, hyps) -> Expr:
@@ -249,7 +249,7 @@ class VCGen:
             try:
                 w = Not(BinOp("=", j, self.term(body, env, hyps + path)))
             except _Unreachable:
-                w = TrueP()
+                w = BoolLit(True)
             w = self.close(mark, w)
             fact = w.body if isinstance(w, Not) else Not(w)
             facts.append(BinOp("->", conj(path), fact) if path else fact)
@@ -303,7 +303,7 @@ class VCGen:
             # first one's side VCs, which are dropped.
             for i, q in enumerate(ensures or [None]):
                 self.side = []
-                post = (_trivial if q is None else
+                post = ((lambda t: BoolLit(True)) if q is None else
                         lambda t, q=q: subst_formula(q, {"result": t}))
                 goal = self.wp(arm_body, post, binds, hyps + path)
                 if i == 0:
@@ -327,10 +327,6 @@ class VCGen:
         return self.vcs
 
 
-def _trivial(t):
-    return TrueP()
-
-
 def match_arms(e: Match, scrut: Expr, env: dict):
     """(path, body, env) per arm of `e` on `scrut`: the arm's condition
     after the negations of the earlier arms', and `env` extended with the
@@ -339,7 +335,7 @@ def match_arms(e: Match, scrut: Expr, env: dict):
     for pat, body in e.arms:
         cond, binds = pattern_cond(pat, scrut)
         path = [Not(c) for c in seen] + (
-            [] if isinstance(cond, TrueP) else [cond])
+            [] if cond == BoolLit(True) else [cond])
         seen.append(cond)
         env2 = dict(env)
         env2.update(binds)
@@ -567,8 +563,6 @@ class SmtEmitter:
             env2 = dict(env)
             env2[d.name] = d.name
             return f"(let (({d.name} {v})) {self.term(x.body, env2)})"
-        if cls is TrueP:
-            return "true"
         if cls is Not:
             return f"(not {self.term(x.body, env)})"
         if cls is Match:

@@ -178,7 +178,7 @@ class Canonicalizer:
                 p2, env2 = self.pat(pat, env)
                 out.append((p2, self.term(body, env2)))
             return Match(self.term(e.scrutinee, env), out, absurd=e.absurd)
-        return e  # literals, TrueP, Absurd
+        return e  # literals, Absurd
 
     # -- top-level items ---------------------------------------------------
     def letdef(self, d):

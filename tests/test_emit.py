@@ -51,6 +51,12 @@ class TestWhymlShape:
             if line.lstrip().startswith(("let", "predicate", "type")):
                 assert "->" not in line or "fun" in line, line
 
+    def test_one_space_after_a_parameterless_name(self):
+        _, _, t = pipeline("(*@ function c : int = 3 *)\n\nlet k : int = 3\n")
+        text = emit_whyml(t)
+        assert "\n  function c : int = 3\n" in text
+        assert "\n  let k : int\n" in text
+
 
 class TestWhymlRoundTrip:
     @pytest.mark.parametrize("name", CORPUS_FILES)

@@ -125,6 +125,34 @@ let s (l : int list) : int =
 }
 
 
+# Spec headers, which the checker binds once: a header that reorders the
+# parameters, two result names, a lambda header that names its result, and
+# a `forall` binder named like a parameter that a header name stands for.
+HEADERS = {
+    "headers": """\
+let sub (a : int) (b : int) : int = a - b
+(*@ r = sub b a
+      requires a >= 0
+      ensures r = b - a *)
+
+let two (x : int) : int * int = (x, x + 1)
+(*@ u, v = two y
+      ensures u = y /\\ v = u + 1 *)
+
+let twice (g : int -> int) (x : int) : int = g (g x)
+
+let add2 (n : int) : int =
+  twice (fun [@gospel {| r = k y ensures r = y + n |}] (y : int) : int -> y + n) 0
+(*@ r = add2 n
+      ensures 0 <= n -> 0 <= r *)
+
+let pick (x : int) (y : int) : int = y
+(*@ r = pick a b
+      ensures forall x : int. x = a -> r = b *)
+""",
+}
+
+
 def ladders():
     for n in range(2, 13):
         for seed in range(5):
@@ -138,6 +166,7 @@ FAMILIES = {
     "genprog": lambda: [(f"seed{s}", gen_program(s)) for s in range(200)],
     "ladders": lambda: list(ladders()),
     "handwritten": lambda: list(HANDWRITTEN.items()),
+    "headers": lambda: list(HEADERS.items()),
 }
 
 FROZEN = {
@@ -149,6 +178,8 @@ FROZEN = {
         "36fc40d7a5c7b4cd88a7dfd77e9c770f56b39ed5f20343d3fe3b6f5c8aca1004",
     "handwritten":
         "abc6cc0f3ca38e0f1c41404473747ff2ca2739cd603ca1477887b0546302919f",
+    "headers":
+        "3d791f111f9f6d3bc068a0f2ff14a2853200a36da77aa961bf45cfe00f9abe8a",
 }
 
 

@@ -56,6 +56,18 @@ def test_recorded_identifiers_cover_the_walk(programs):
         assert all_identifiers(program) <= program.names, name
 
 
+def test_checker_records_the_names_it_writes():
+    # the spec's header is bound to `x` and `result`, and the binder `x`,
+    # which would capture the parameter, is renamed
+    program = parse_program(
+        "let f (x : int) : int = 0\n"
+        "(*@ r = f a ensures not (forall x : int. not (r = a + 1)) *)\n")
+    assert not {"result", "var0"} & program.names
+    Checker().check_program(program)
+    assert {"list", "tree", "result", "var0"} <= program.names
+    assert all_identifiers(program) <= program.names
+
+
 def test_checker_resolves_like_the_scoped_walk(programs):
     seen = 0
     for name, program, checker in programs:

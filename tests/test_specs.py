@@ -1,14 +1,16 @@
 import pytest
 
+from defun.emit import emit_whyml
 from defun.errors import TransformError
 from defun.frontend import parse_formula, parse_program
+from defun.interp import _requires, _requires_ok
 from defun.specs import (
     FreshNames, expand_post_meta, formula_names, subst_formula,
-    translate_spec,
 )
 from defun.syntax import (
-    BinOp, Forall, TArrow, TNamed, Var, call, INT,
+    BinOp, Forall, LetDef, LetIn, TArrow, TNamed, Var, call, INT,
 )
+from defun.typecheck import check_program
 
 from conftest import corpus_text, pipeline
 
@@ -42,6 +44,23 @@ class TestSubst:
         f = parse_formula("forall x : int. x = y")
         out = subst_formula(f, {"x": Var("z"), "y": Var("w")})
         assert out == parse_formula("forall x : int. x = w")
+
+    def test_forall_binder_that_would_capture_is_renamed(self):
+        f = parse_formula("forall x : int. x = y")
+        out = subst_formula(f, {"y": Var("x")})
+        assert out == parse_formula("forall var0 : int. var0 = x")
+
+    def test_let_binder_that_would_capture_is_renamed(self):
+        f = LetIn(LetDef(False, "x", [], None, Var("y")),
+                  BinOp("=", Var("x"), Var("y")))
+        out = subst_formula(f, {"y": Var("x")})
+        assert out == LetIn(LetDef(False, "var0", [], None, Var("x")),
+                            BinOp("=", Var("var0"), Var("x")))
+
+    def test_binder_is_kept_when_nothing_under_it_is_substituted(self):
+        f = parse_formula("(forall x : int. x = 1) /\\ y = 2")
+        out = subst_formula(f, {"y": Var("x")})
+        assert out == parse_formula("(forall x : int. x = 1) /\\ x = 2")
 
 
 class TestFreshNames:
@@ -89,36 +108,49 @@ class TestExpandPostMeta:
         assert exc.value.kind == "no-family"
 
 
-class TestTranslateSpec:
+class TestCanonicalSpec:
+    """The checker binds a spec header once: every clause it leaves is
+    over the parameters, by position, and `result`, and the header is
+    gone."""
+
     def build(self, src):
-        p = parse_program(src)
-        return p.items[0]
+        return check_program(parse_program(src)).items[0]
 
     def test_header_names_to_params_and_result(self):
         d = self.build("let f (a : int) : int = a\n(*@ r = f x ensures r = x *)")
-        requires, ensures = translate_spec(
-            d.spec, d, resolver_for({}), lambda t, loc=None: t)
-        assert ensures == [BinOp("=", Var("result"), Var("a"))]
+        assert d.spec.ensures == [BinOp("=", Var("result"), Var("a"))]
+        assert d.spec.result_names == d.spec.arg_names == []
 
     def test_multi_result_projection(self):
         d = self.build(
             "let f (a : int) : int * int = (a, a)\n"
             "(*@ u, v = f x ensures u = v *)")
-        _, ensures = translate_spec(
-            d.spec, d, resolver_for({}), lambda t, loc=None: t)
-        out = ensures[0]
+        out = d.spec.ensures[0]
         assert isinstance(out, Forall)
         assert [n for n, _ in out.binders] == ["u", "v"]
         assert out.body.op == "->"
 
-    def test_header_arity_mismatch(self):
-        d = self.build("let f (a : int) : int = a")
-        from defun.syntax import Spec, TrueP
-        bad = Spec(result_names=["r"], arg_names=["x", "y"],
-                   ensures=[TrueP()])
-        with pytest.raises(TransformError) as exc:
-            translate_spec(bad, d, resolver_for({}), lambda t, loc=None: t)
-        assert exc.value.kind == "header-arity"
+    def test_lambda_header(self):
+        d = self.build(
+            "let f (a : int) : int =\n"
+            "  (fun [@gospel {| r = g y ensures r = y + a |}] (x : int) : int"
+            " -> x + a) 1")
+        lam = d.body.fn
+        assert lam.spec.ensures == [parse_formula("result = x + a")]
+        assert lam.spec.result_names == lam.spec.arg_names == []
+
+    SWAPPED = ("let f (a : int) (b : int) : int = a - b\n"
+               "(*@ r = f b a requires a >= 0 ensures r = b - a *)\n")
+
+    def test_swapped_header_reads_by_position(self):
+        # the header's `a` is the second parameter, `b`
+        p, _, t = pipeline(self.SWAPPED)
+        whyml = emit_whyml(t)
+        assert "    requires { 0 <= b }\n" in whyml
+        assert "    ensures { result = (a - b) }\n" in whyml
+        requires = _requires(p, p.items[0])
+        assert _requires_ok(requires, [-5, 0])
+        assert not _requires_ok(requires, [0, -5])
 
 
 class TestEndToEndSpecTranslation:

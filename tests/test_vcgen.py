@@ -12,7 +12,7 @@ import pytest
 from defun.interp import VConstr, eval_ho
 from defun.syntax import (
     App, BinOp, BoolLit, ConstructorApp, Forall, IntLit, LetIn, Match, Not,
-    TrueP, TupleE, TBool, TInt, TNamed, Var, spine, walk,
+    TupleE, TBool, TInt, TNamed, Var, spine, walk,
 )
 from defun.vcgen import (
     SmtEmitter, emit_smt, generate_vcs, pattern_cond, run_solver,
@@ -619,8 +619,6 @@ class Evaluator:
         self.applies = {d.name: d for d in t.apply_defs}
 
     def ev(self, f, env):
-        if isinstance(f, TrueP):
-            return True
         if isinstance(f, Var):
             return env[f.name]
         if isinstance(f, IntLit):
@@ -900,8 +898,37 @@ let f (join_0 : int) : int =
         assert not valid(t, vc)
 
 
+class TestCaptureAvoidance:
+    """Substituting a parameter for a name renames a `forall` binder that
+    would capture it, in a checked spec and at a call's contract alike, so
+    a false `ensures` stays unproved."""
+
+    def only_vc(self, text, name):
+        t, vcs = vcs_of(text)
+        (vc,) = [vc for vc in vcs if vc.origin[0] == name]
+        return t, vc
+
+    def test_header_name_under_a_binder_of_the_parameters_name(self):
+        # the clause says r = x + 1 of the parameter x, and f returns 0
+        t, vc = self.only_vc(
+            "let f (x : int) : int = 0\n"
+            "(*@ r = f a ensures not (forall x : int. not (r = a + 1)) *)\n",
+            "f")
+        assert not valid(t, vc)
+
+    def test_argument_under_a_callee_binder_of_its_name(self):
+        # g's contract gives g x = x at the call, so r = x + 1 is false
+        t, vc = self.only_vc(
+            "let g (y : int) : int = y\n"
+            "(*@ r = g y ensures forall x : int. x = x -> r = y *)\n\n"
+            "let f (x : int) : int = g x\n"
+            "(*@ r = f x ensures r = x + 1 *)\n",
+            "f")
+        assert not valid(t, vc)
+
+
 def conj(fs):
-    out = TrueP()
+    out = BoolLit(True)
     for f in fs:
         out = BinOp("/\\", out, f)
     return out
